@@ -160,8 +160,14 @@ std::vector<size_t> BitsetConformityChecker::CoveredRows(
 }
 
 size_t BitsetConformityChecker::AddRow(const Instance& x, Label y) {
+  const size_t row = next_row_;
+  SetRow(row, x, y);
+  return row;
+}
+
+void BitsetConformityChecker::SetRow(size_t row, const Instance& x, Label y) {
   CCE_CHECK(x.size() == value_bits_.size());
-  const size_t row = next_row_++;
+  next_row_ = std::max(next_row_, row + 1);
   EnsureCapacity(next_row_);
   for (FeatureId f = 0; f < x.size(); ++f) {
     const ValueId v = x[f];
@@ -174,9 +180,42 @@ size_t BitsetConformityChecker::AddRow(const Instance& x, Label y) {
     label_bits_.resize(y + 1, RowBitmap(capacity_rows_));
   }
   label_bits_[y].Set(row);
-  live_.Set(row);
-  ++live_rows_;
-  return row;
+  if (!live_.Test(row)) {
+    live_.Set(row);
+    ++live_rows_;
+  }
+}
+
+void BitsetConformityChecker::ShiftWords(std::ptrdiff_t words) {
+  if (words == 0) return;
+  if (words > 0) {
+    const size_t up = static_cast<size_t>(words);
+    EnsureCapacity(next_row_ + 64 * up);
+    next_row_ += 64 * up;
+  } else {
+    const size_t down = static_cast<size_t>(-words);
+    next_row_ = next_row_ > 64 * down ? next_row_ - 64 * down : 0;
+  }
+  // Every bitmap has the same word count, and a whole-word move keeps the
+  // tail beyond size() clear (the capacity is a multiple of 64 rows).
+  auto shift = [words](RowBitmap* bits) {
+    uint64_t* data = bits->mutable_data();
+    const size_t n = bits->num_words();
+    if (words > 0) {
+      const size_t up = std::min(n, static_cast<size_t>(words));
+      std::copy_backward(data, data + (n - up), data + n);
+      std::fill(data, data + up, 0);
+    } else {
+      const size_t down = std::min(n, static_cast<size_t>(-words));
+      std::copy(data + down, data + n, data);
+      std::fill(data + (n - down), data + n, 0);
+    }
+  };
+  for (auto& per_feature : value_bits_) {
+    for (RowBitmap& bits : per_feature) shift(&bits);
+  }
+  for (RowBitmap& bits : label_bits_) shift(&bits);
+  shift(&live_);
 }
 
 void BitsetConformityChecker::RemoveRow(size_t row) {

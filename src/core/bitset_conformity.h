@@ -1,8 +1,9 @@
 #ifndef CCE_CORE_BITSET_CONFORMITY_H_
 #define CCE_CORE_BITSET_CONFORMITY_H_
 
-#include <cstdint>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/dataset.h"
@@ -88,8 +89,23 @@ class BitsetConformityChecker {
   /// Appends a row and returns its row id. O(num_features) amortised.
   size_t AddRow(const Instance& x, Label y);
 
+  /// Sets row id `row` to (x, y) and marks it live, growing the bitmaps to
+  /// hold it: the sparse insert of an index whose row ids are not dense
+  /// (the serving live index addresses rows by sequence number, so ids
+  /// arrive out of order and with gaps). `row` must be a fresh id — never
+  /// set since it was allocated or last vacated by ShiftWords — because
+  /// RemoveRow leaves a removed row's value and label bits behind.
+  void SetRow(size_t row, const Instance& x, Label y);
+
   /// Removes a row from the live set. O(1); id remains allocated.
   void RemoveRow(size_t row);
+
+  /// Renumbers every row id by whole 64-row words: `words` > 0 moves row r
+  /// to r + 64 * words (room below the lowest id), `words` < 0 drops the
+  /// first 64 * |words| ids, which must all be dead, and moves row r to
+  /// r - 64 * |words|. Vacated ids come back clear, so they are fresh for
+  /// SetRow. O(total bitmap words); counts are unchanged.
+  void ShiftWords(std::ptrdiff_t words);
 
   /// Rows currently live (the |I| of every budget computation).
   size_t live_rows() const { return live_rows_; }
@@ -98,6 +114,21 @@ class BitsetConformityChecker {
   /// the checker when the live fraction gets small to reclaim space.
   size_t allocated_rows() const { return next_row_; }
 
+  // -- Raw bitmaps, for searches that read the index directly. ----------
+
+  /// Rows not yet removed. Value and label bitmaps may keep stale bits of
+  /// removed rows; every count must mask them with this.
+  const RowBitmap& live() const { return live_; }
+
+  /// The value bitmap for (feature, value); null when the value was never
+  /// indexed (unseen dictionary code) — i.e. no row matches.
+  const RowBitmap* ValueBits(FeatureId feature, ValueId value) const;
+
+  /// The label bitmap for `label`; null when no row ever carried it.
+  const RowBitmap* LabelBits(Label label) const {
+    return label < label_bits_.size() ? &label_bits_[label] : nullptr;
+  }
+
   /// Cumulative pool tasks dispatched by sharded counts — the "shard
   /// fanout" observability signal. 0 while everything ran serial.
   uint64_t shard_tasks() const {
@@ -105,10 +136,6 @@ class BitsetConformityChecker {
   }
 
  private:
-  /// The value bitmap for (feature, value); null when the value was never
-  /// indexed (unseen dictionary code) — i.e. no row matches.
-  const RowBitmap* ValueBits(FeatureId feature, ValueId value) const;
-
   /// live & ~label[y0] & AND of `ops`; returns the popcount. Sharded
   /// across the pool when the word range is large enough.
   size_t CountFused(const std::vector<const uint64_t*>& ops,

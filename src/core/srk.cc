@@ -1,11 +1,13 @@
 #include "core/srk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "core/bitset_conformity.h"
 #include "core/conformity.h"
 #include "core/row_bitmap.h"
 
@@ -13,21 +15,28 @@ namespace cce {
 
 namespace {
 
-/// The greedy half of the bitset engine, shared by the single-instance and
-/// batched entry points: the same decision sequence as the sorted-row-id
-/// loop in ExplainInstance below, expressed over prebuilt per-feature
-/// agreement bitmaps (`agree`, n of them) and a violator bitmap (mutated in
-/// place). `pool` shards only the candidate *counting*; the arg-min scan is
-/// always serial in ascending feature order, so the picks — and therefore
-/// the key — are independent of pool width and of whether the bitmaps were
-/// built alone or as one slice of a batch build.
-KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
-                          const Deadline& deadline, RowBitmap* agree,
-                          RowBitmap* violators_in,
+/// popcount(a & b) over `words` words; a null `b` is the empty bitmap.
+size_t AndCountWords(const uint64_t* a, const uint64_t* b, size_t words) {
+  if (b == nullptr) return 0;
+  size_t count = 0;
+  for (size_t w = 0; w < words; ++w) count += std::popcount(a[w] & b[w]);
+  return count;
+}
+
+/// The greedy half of the bitset engine, shared by the per-call, batched
+/// and live-index entry points: the same decision sequence as the
+/// sorted-row-id loop in ExplainInstance below, expressed over n agreement
+/// bitmaps (`agree[f]`, `words` words each; null = no row agrees) and a
+/// violator bitmap (mutated in place). `pool` shards only the candidate
+/// *counting*; the arg-min scan is always serial in ascending feature
+/// order, so the picks — and therefore the key — are independent of pool
+/// width and of where the bitmaps came from.
+KeyResult RunBitsetGreedy(size_t n, size_t words, size_t context_size,
+                          size_t tolerated, const Deadline& deadline,
+                          const uint64_t* const* agree, uint64_t* violators,
                           const std::vector<size_t>& value_frequency,
                           ThreadPool* pool, Srk::EngineStats* stats) {
   KeyResult result;
-  RowBitmap& violators = *violators_in;
 
   // Runs fn(f) for every feature, across the pool when one is configured.
   // Each task stays serial inside (no nested pool use: non-reentrant).
@@ -43,7 +52,10 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
   };
 
   std::vector<bool> in_key(n, false);
-  size_t violator_count = violators.Count();
+  size_t violator_count = 0;
+  for (size_t w = 0; w < words; ++w) {
+    violator_count += std::popcount(violators[w]);
+  }
 
   const bool bounded = !deadline.infinite();
   auto finish_degraded = [&]() -> KeyResult {
@@ -52,9 +64,14 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
     }
     // Survivors of the all-feature key are exact duplicates of x0: the
     // intersection of V with every agreement bitmap.
-    RowBitmap duplicates = violators;
-    for (FeatureId f = 0; f < n; ++f) duplicates.AndWith(agree[f]);
-    const size_t surviving = duplicates.Count();
+    size_t surviving = 0;
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t acc = violators[w];
+      for (FeatureId f = 0; f < n && acc != 0; ++f) {
+        acc = agree[f] == nullptr ? 0 : acc & agree[f][w];
+      }
+      surviving += std::popcount(acc);
+    }
     result.degraded = true;
     result.achieved_alpha =
         1.0 - static_cast<double>(surviving) /
@@ -67,7 +84,7 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
   while (violator_count > tolerated) {
     if (bounded && deadline.expired()) return finish_degraded();
     for_each_feature([&](FeatureId f) {
-      if (!in_key[f]) counts[f] = RowBitmap::AndCount(violators, agree[f]);
+      if (!in_key[f]) counts[f] = AndCountWords(violators, agree[f], words);
     });
     FeatureId best_feature = 0;
     size_t best_count = std::numeric_limits<size_t>::max();
@@ -91,7 +108,10 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
     in_key[best_feature] = true;
     FeatureSetInsert(&result.key, best_feature);
     result.pick_order.push_back(best_feature);
-    violators.AndWith(agree[best_feature]);
+    const uint64_t* picked = agree[best_feature];
+    for (size_t w = 0; w < words; ++w) {
+      violators[w] = picked == nullptr ? 0 : violators[w] & picked[w];
+    }
     violator_count = best_count;
   }
 
@@ -102,6 +122,85 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
                       static_cast<double>(context_size);
   if (violator_count <= tolerated) result.satisfied = true;
   return result;
+}
+
+/// Word pointers of prebuilt agreement bitmaps, for RunBitsetGreedy.
+std::vector<const uint64_t*> AgreeWords(const RowBitmap* agree, size_t n) {
+  std::vector<const uint64_t*> words(n);
+  for (size_t f = 0; f < n; ++f) words[f] = agree[f].data();
+  return words;
+}
+
+/// One item's search against a live index: violators start as
+/// live & ~label[y0] and the candidate bitmaps are the index's own
+/// value[f][x0[f]] — nothing is built per call. Only the word range that
+/// holds live rows is scanned.
+KeyResult ExplainIndexedItem(const BitsetConformityChecker& index,
+                             const Instance& x0, Label y0, double alpha,
+                             const Deadline& deadline, ThreadPool* pool,
+                             Srk::EngineStats* stats) {
+  const size_t n = x0.size();
+  const size_t live_rows = index.live_rows();
+  const size_t tolerated = static_cast<size_t>(
+      std::floor((1.0 - alpha) * static_cast<double>(live_rows) + 1e-9));
+  const uint64_t* live = index.live().data();
+  size_t begin = 0;
+  size_t end = index.live().num_words();
+  while (begin < end && live[begin] == 0) ++begin;
+  while (end > begin && live[end - 1] == 0) --end;
+  const size_t words = end - begin;
+
+  std::vector<const uint64_t*> agree(n);
+  for (FeatureId f = 0; f < n; ++f) {
+    const RowBitmap* bits = index.ValueBits(f, x0[f]);
+    agree[f] = bits == nullptr ? nullptr : bits->data() + begin;
+  }
+  const RowBitmap* label_bits = index.LabelBits(y0);
+  const uint64_t* label =
+      label_bits == nullptr ? nullptr : label_bits->data() + begin;
+  std::vector<uint64_t> violators(words);
+  for (size_t w = 0; w < words; ++w) {
+    violators[w] =
+        live[begin + w] & (label == nullptr ? ~uint64_t{0} : ~label[w]);
+  }
+
+  // The reference tie-break samples the first 2048 rows of the
+  // sequence-ordered context; row ids ascend with sequence, so those are
+  // the first 2048 live ids: whole live words, then the lowest `left` set
+  // bits of one more word.
+  constexpr size_t kFrequencySample = 2048;
+  size_t left = std::min(live_rows, kFrequencySample);
+  size_t sample_words = 0;
+  uint64_t tail_mask = 0;
+  for (; sample_words < words && left > 0; ++sample_words) {
+    const uint64_t word = live[begin + sample_words];
+    const size_t bits = static_cast<size_t>(std::popcount(word));
+    if (bits > left) {
+      uint64_t rest = word;
+      for (size_t i = 0; i < left; ++i) {
+        tail_mask |= rest & (~rest + 1);  // lowest set bit
+        rest &= rest - 1;
+      }
+      break;
+    }
+    left -= bits;
+  }
+  std::vector<size_t> value_frequency(n, 0);
+  for (FeatureId f = 0; f < n; ++f) {
+    if (agree[f] == nullptr) continue;
+    size_t count = 0;
+    for (size_t w = 0; w < sample_words; ++w) {
+      count += std::popcount(agree[f][w] & live[begin + w]);
+    }
+    if (tail_mask != 0) {
+      count += std::popcount(agree[f][sample_words] & tail_mask);
+    }
+    value_frequency[f] = count;
+  }
+
+  return RunBitsetGreedy(n, words, live_rows, tolerated, deadline,
+                         agree.data(), violators.data(), value_frequency,
+                         pool, stats);
 }
 
 /// The bitset path: for a fixed x0 the greedy only ever reads the
@@ -176,8 +275,10 @@ KeyResult ExplainInstanceBitset(const Context& context, const Instance& x0,
     value_frequency[f] = agree[f].CountPrefix(sample_rows);
   }
 
-  return RunBitsetGreedy(n, context_size, tolerated, options.deadline,
-                         agree.data(), &violators, value_frequency, pool,
+  const std::vector<const uint64_t*> agree_words = AgreeWords(agree.data(), n);
+  return RunBitsetGreedy(n, num_words, context_size, tolerated,
+                         options.deadline, agree_words.data(),
+                         violators.mutable_data(), value_frequency, pool,
                          stats);
 }
 
@@ -264,9 +365,11 @@ std::vector<KeyResult> ExplainBatchBitset(const Context& context,
     for (FeatureId f = 0; f < n; ++f) {
       value_frequency[f] = item_agree[f].CountPrefix(sample_rows);
     }
-    results[i] = RunBitsetGreedy(n, context_size, tolerated,
-                                 items[i].deadline, item_agree, &violators[i],
-                                 value_frequency, /*pool=*/nullptr, stats);
+    const std::vector<const uint64_t*> agree_words = AgreeWords(item_agree, n);
+    results[i] = RunBitsetGreedy(n, num_words, context_size, tolerated,
+                                 items[i].deadline, agree_words.data(),
+                                 violators[i].mutable_data(), value_frequency,
+                                 /*pool=*/nullptr, stats);
   };
   if (pool != nullptr) {
     pool->ParallelFor(m, run_item);
@@ -505,6 +608,54 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
                       static_cast<double>(context_size);
   if (violators.size() <= tolerated) result.satisfied = true;
   return result;
+}
+
+Result<KeyResult> Srk::ExplainIndexed(const BitsetConformityChecker& index,
+                                      const Instance& x0, Label y0,
+                                      const Options& options) {
+  if (options.alpha <= 0.0 || options.alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  if (x0.size() != index.context().num_features()) {
+    return Status::InvalidArgument("instance arity does not match schema");
+  }
+  return ExplainIndexedItem(index, x0, y0, options.alpha, options.deadline,
+                            options.pool, options.stats);
+}
+
+Result<std::vector<KeyResult>> Srk::ExplainIndexedBatch(
+    const BitsetConformityChecker& index, const std::vector<BatchItem>& items,
+    const Options& options) {
+  if (options.alpha <= 0.0 || options.alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  const size_t n = index.context().num_features();
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].x.size() != n) {
+      return Status::InvalidArgument(
+          "batch item " + std::to_string(i) +
+          ": instance arity does not match schema");
+    }
+  }
+  std::vector<KeyResult> results(items.size());
+  // Items fan across the pool with a serial greedy inside each task
+  // (ThreadPool is non-reentrant); every compared quantity is an exact
+  // popcount, so the keys do not depend on the fan-out.
+  auto run_item = [&](size_t i) {
+    results[i] = ExplainIndexedItem(index, items[i].x, items[i].y,
+                                    options.alpha, items[i].deadline,
+                                    /*pool=*/nullptr, options.stats);
+  };
+  if (options.pool != nullptr && items.size() > 1) {
+    options.pool->ParallelFor(items.size(), run_item);
+    if (options.stats != nullptr) {
+      options.stats->shard_tasks.fetch_add(items.size(),
+                                           std::memory_order_relaxed);
+    }
+  } else {
+    for (size_t i = 0; i < items.size(); ++i) run_item(i);
+  }
+  return results;
 }
 
 Result<std::vector<KeyResult>> Srk::ExplainBatch(

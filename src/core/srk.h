@@ -12,6 +12,7 @@
 
 namespace cce {
 
+class BitsetConformityChecker;
 class ThreadPool;
 
 /// Algorithm SRK (paper Algorithm 1): greedy computation of an
@@ -96,6 +97,27 @@ class Srk {
   static Result<std::vector<KeyResult>> ExplainBatch(
       const Context& context, const std::vector<BatchItem>& items,
       const Options& options);
+
+  /// Explains (x0, y0) against a live BitsetConformityChecker whose row ids
+  /// ascend with arrival order (ids may have gaps; removed rows are masked
+  /// by the live set). Nothing is built per call: the greedy reads the
+  /// index's value[f][x0[f]] bitmaps and starts from live & ~label[y0].
+  ///
+  /// Determinism contract: the key equals ExplainInstance on the context
+  /// of the live rows in id order, bit for bit, unless a deadline degraded
+  /// it. The tie-break sample is the first min(2048, live) live ids, which
+  /// are exactly that context's first rows. `options.pool` (when set)
+  /// shards candidate counting; `parallel_conformity` is not read.
+  static Result<KeyResult> ExplainIndexed(const BitsetConformityChecker& index,
+                                          const Instance& x0, Label y0,
+                                          const Options& options);
+
+  /// ExplainIndexed for every item, positionally, with per-item deadlines
+  /// (`options.deadline` is ignored). With `options.pool` set, items run
+  /// across the pool, each greedy serial inside its task.
+  static Result<std::vector<KeyResult>> ExplainIndexedBatch(
+      const BitsetConformityChecker& index,
+      const std::vector<BatchItem>& items, const Options& options);
 
   /// One point of the conformity-succinctness trade-off curve.
   struct SweepPoint {

@@ -145,8 +145,8 @@ void NetServer::InitInstruments() {
       "Decode-to-response-queued latency, microseconds");
   batch_size_ = reg->GetHistogram(
       "cce_batch_size",
-      "Explain items answered per shared-build batch execution (scalar "
-      "drains and BATCH_EXPLAIN frames)");
+      "Explain items answered per batch execution (scalar drains and "
+      "BATCH_EXPLAIN frames)");
 }
 
 Status NetServer::Listen() {
@@ -579,7 +579,7 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
     // Park scalar Explains in the micro-batch queue instead of binding
     // each to its own worker task: the drain that answers this request
     // takes every batchmate queued behind it, so a flood's queue depth
-    // becomes shared-build throughput instead of per-request searches.
+    // becomes batch throughput instead of per-request executions.
     {
       std::lock_guard<std::mutex> lock(explain_mu_);
       explain_queue_.push_back(
@@ -648,8 +648,8 @@ void NetServer::ExecuteExplainBatch(std::vector<PendingExplain> batch) {
     if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
     finish(i, std::move(response));
   };
-  // One admission charge for the whole batch — the expensive unit is the
-  // shared bitmap build — bounded by the earliest item deadline so nobody
+  // One admission charge for the whole batch — it is one execution under
+  // one index read lock — bounded by the earliest item deadline so nobody
   // queues past its own budget.
   std::optional<serving::OverloadController::Permit> permit;
   if (controller_ != nullptr) {
@@ -804,8 +804,8 @@ Response NetServer::ExecuteRequest(const Request& request,
       break;
     }
     case MessageType::kBatchExplainRequest: {
-      // A client-formed batch: one admission charge, one shared-build
-      // search, one response frame with per-item statuses.
+      // A client-formed batch: one admission charge, one batch
+      // execution, one response frame with per-item statuses.
       std::vector<Deadline> deadlines;
       deadlines.reserve(request.batch.size());
       Deadline admit_deadline = Deadline::Infinite();

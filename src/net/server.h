@@ -100,11 +100,11 @@ class NetServer {
     /// Deadline applied to requests that carry deadline_ms = 0; 0 = none.
     uint32_t default_deadline_ms = 0;
 
-    /// Upper bound on Explain items answered by one shared-build key
-    /// search (docs/operations.md). Queued scalar EXPLAIN_REQUEST frames
+    /// Upper bound on Explain items answered by one batch execution
+    /// (docs/operations.md). Queued scalar EXPLAIN_REQUEST frames
     /// are drained in compatible groups of up to this many and executed
     /// as one serving::ServingGroup::ExplainBatch — one admission charge,
-    /// one bitmap build — so queue depth under a flood becomes batch
+    /// one live-index read — so queue depth under a flood becomes batch
     /// throughput instead of sheds. 1 disables micro-batching (every
     /// request runs alone, the pre-batching behaviour). BATCH_EXPLAIN
     /// frames are always executed as the client-formed batch regardless
@@ -225,7 +225,7 @@ class NetServer {
   Response ExecuteRequest(const Request& request, const Deadline& deadline);
   Response ShedResponse(const Request& request, const Status& shed) const;
   /// Runs on a worker: pops up to max_explain_batch queued Explains and
-  /// answers them with one shared-build batch (one admission charge).
+  /// answers them as one batch execution (one admission charge).
   void DrainExplainQueue();
   /// Executes `batch` (>= 2 items) as one ServingGroup::ExplainBatch and
   /// pushes one completion per item.

@@ -9,6 +9,7 @@
 #include "io/atomic_file.h"
 #include "io/serialize.h"
 #include "io/shard_snapshot.h"
+#include "serving/live_index.h"
 
 namespace cce::serving {
 
@@ -57,9 +58,7 @@ Status ContextShard::QuarantineLocked(const std::string& reason,
     ins_.shard_quarantines_wal->Increment();
   }
   wal_.reset();
-  window_.clear();
-  window_size_.store(0, std::memory_order_release);
-  front_seq_.store(UINT64_MAX, std::memory_order_release);
+  ClearWindowLocked();
   total_recorded_.store(0, std::memory_order_release);
   SetStateLocked(State::kQuarantined);
   return Status::Ok();
@@ -71,7 +70,22 @@ void ContextShard::PushRowLocked(uint64_t seq, const Instance& x, Label y) {
   }
   window_.push_back(Row{seq, x, y});
   window_size_.store(window_.size(), std::memory_order_release);
+  if (index_ != nullptr) index_->Insert(seq, x, y);
   if (drift_ != nullptr) drift_->Observe(x, y);
+}
+
+void ContextShard::ClearWindowLocked() {
+  if (index_ != nullptr) {
+    for (const Row& row : window_) index_->Remove(row.seq);
+  }
+  window_.clear();
+  window_size_.store(0, std::memory_order_release);
+  front_seq_.store(UINT64_MAX, std::memory_order_release);
+}
+
+void ContextShard::AttachIndex(LiveIndex* index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  index_ = index;
 }
 
 void ContextShard::SyncFsyncCountersLocked() {
@@ -352,9 +366,7 @@ Status ContextShard::Repair() {
   if (!opened.ok()) return opened.status();
   wal_ = std::move(opened).value();
   wal_fsyncs_exported_ = 0;
-  window_.clear();
-  window_size_.store(0, std::memory_order_release);
-  front_seq_.store(UINT64_MAX, std::memory_order_release);
+  ClearWindowLocked();
   total_recorded_.store(0, std::memory_order_release);
   quarantine_reason_.clear();
   if (drift_ != nullptr) {
@@ -374,6 +386,7 @@ void ContextShard::SnapshotInto(std::vector<Row>* out) const {
 bool ContextShard::PopFront(Row* evicted) {
   std::lock_guard<std::mutex> lock(mu_);
   if (window_.empty()) return false;
+  if (index_ != nullptr) index_->Remove(window_.front().seq);
   if (evicted != nullptr) *evicted = std::move(window_.front());
   window_.pop_front();
   window_size_.store(window_.size(), std::memory_order_release);

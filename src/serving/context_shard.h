@@ -20,6 +20,8 @@
 
 namespace cce::serving {
 
+class LiveIndex;
+
 /// One fault domain of the proxy's recorded context: a slice of the rolling
 /// window plus its own write-ahead log, snapshot/compaction cycle, drift
 /// monitor and write lock. The proxy routes each recorded pair to the shard
@@ -27,9 +29,10 @@ namespace cce::serving {
 /// never contend, and a damaged shard never takes the others down.
 ///
 /// Every row carries a proxy-global sequence number assigned under the
-/// shard lock at record time; Explain merges shard windows by sequence, so
-/// the merged context reproduces the exact arrival order and relative keys
-/// are bit-identical to a 1-shard configuration.
+/// shard lock at record time. The proxy's LiveIndex places each row at a
+/// bit position given by its sequence, so the index holds the exact
+/// arrival order and relative keys are bit-identical to a 1-shard
+/// configuration.
 ///
 /// States (fail-soft discipline; Create never fails for I/O damage):
 ///
@@ -178,6 +181,14 @@ class ContextShard {
   std::string last_quarantine_cause() const;
   size_t index() const { return options_.index; }
 
+  /// Starts mirroring this shard's window into `index` (not owned; must
+  /// outlive the shard): every row pushed from now on is inserted, and
+  /// every row popped or dropped is removed, under the shard lock (lock
+  /// order shard -> index). The caller has already put the current window
+  /// into the index. Recovery runs before attachment, so the index is
+  /// built once after it rather than row by row.
+  void AttachIndex(LiveIndex* index);
+
   /// Exclusive hold on the shard's mutex, for callers that must freeze
   /// several shards at once (the proxy's published-sequence barrier).
   /// While held, no Record can claim a sequence number in this shard.
@@ -196,6 +207,9 @@ class ContextShard {
   void SyncFsyncCountersLocked();
   void SetStateLocked(State state);
   void PushRowLocked(uint64_t seq, const Instance& x, Label y);
+  /// Empties the window (quarantine, repair), removing its rows from the
+  /// attached index.
+  void ClearWindowLocked();
 
   std::shared_ptr<const Schema> schema_;
   Options options_;
@@ -206,6 +220,7 @@ class ContextShard {
   std::deque<Row> window_;
   std::unique_ptr<io::ContextWal> wal_;  // null for in-memory shards
   std::unique_ptr<DriftMonitor> drift_;
+  LiveIndex* index_ = nullptr;  // not owned; null until AttachIndex
   std::string quarantine_reason_;
   std::string last_quarantine_reason_;
   std::string last_quarantine_cause_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "io/atomic_file.h"
+#include "serving/live_index.h"
 #include "serving/read_path.h"
 #include "serving/shard_layout.h"
 
@@ -126,11 +127,11 @@ void ExplainableProxy::InitInstruments() {
                      "Explains answered from the explanation cache.");
   ins_.batch_executions = reg.GetCounter(
       "cce_batch_executions_total",
-      "ExplainBatch() calls that ran a shared-build key search (one fused "
-      "bitmap build amortized across every item in the batch).");
+      "ExplainBatch() calls that searched the live index (every item under "
+      "one read-lock acquisition).");
   ins_.batch_items = reg.GetCounter(
       "cce_batch_items_total",
-      "Explain items answered through ExplainBatch() shared builds.");
+      "Explain items answered through ExplainBatch() index searches.");
   ins_.fallback_serves = reg.GetCounter(
       "cce_fallback_serves_total",
       "Explain/Counterfactuals served from context while the breaker was "
@@ -179,11 +180,11 @@ void ExplainableProxy::InitInstruments() {
       "Orphaned *.tmp files swept from the durability dir at startup.");
   ins_.bitmap_rebuilds = reg.GetCounter(
       "cce_bitmap_rebuilds_total",
-      "Full conformity-bitmap builds by the bitset engine (one per "
-      "bitset-path Explain).");
+      "Full builds of the live conformity index (one at proxy start, one "
+      "per replica rebuild or resync; none per Explain).");
   ins_.conformity_shards = reg.GetCounter(
       "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by the bitset engine "
+      "Work items dispatched to the conformity pool by live-index counts "
       "(shard fanout).");
   ins_.context_window_size = reg.GetGauge(
       "cce_context_window_size",
@@ -357,6 +358,11 @@ Status ExplainableProxy::InitShards() {
   total_rows_.store(rows, std::memory_order_release);
   EvictToCapacity();
   if (durable) AdoptOrphanShardFiles();
+  // The read model is built once, from the recovered and capacity-trimmed
+  // window; from here on every shard keeps it current in place.
+  index_ = std::make_unique<LiveIndex>(schema_, ins_.bitmap_rebuilds);
+  index_->Rebuild(MergedRows());
+  for (auto& shard : shards_) shard->AttachIndex(index_.get());
   SyncContextGauges();
   return Status::Ok();
 }
@@ -538,16 +544,11 @@ std::vector<ContextShard::Row> ExplainableProxy::MergedRows() const {
   return rows;
 }
 
-Context ExplainableProxy::MergedContext() const {
-  return MaterializeContext(schema_, MergedRows());
-}
-
 ReadPath ExplainableProxy::ExplainReadPath() const {
   ReadPath path;
   path.alpha = options_.alpha;
   path.parallel_conformity = options_.parallel_conformity;
   path.pool = conformity_pool_.get();
-  path.bitmap_rebuilds = ins_.bitmap_rebuilds;
   path.conformity_shards = ins_.conformity_shards;
   return path;
 }
@@ -697,7 +698,9 @@ Status ExplainableProxy::Record(const Instance& x, Label y) {
   return Status::Ok();
 }
 
-Context ExplainableProxy::ContextSnapshot() const { return MergedContext(); }
+Context ExplainableProxy::ContextSnapshot() const {
+  return MaterializeContext(schema_, MergedRows());
+}
 
 Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
                                             const Deadline& deadline) const {
@@ -738,55 +741,47 @@ Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
     }
     permit.emplace(std::move(admitted).value());
   }
-  Context context(schema_);
-  uint64_t cache_stamp = 0;
-  bool degraded_context = false;
   {
-    auto span = trace.Phase("snapshot");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Explaining consults only the recorded context (paper Section 6),
-      // so it keeps working when the breaker has taken the model out of
-      // the path — that serve is the "record-only fallback" rung.
-      if (breaker_.state() == CircuitBreaker::State::kOpen) {
-        ins_.fallback_serves->Increment();
-      }
-      // Admitted but under pressure (queued, saturated limiter, CoDel):
-      // prefer the cached key over burning a saturated machine on a
-      // search.
-      if (permit.has_value() && permit->under_pressure() &&
-          explain_cache_ != nullptr) {
-        if (auto cached = explain_cache_->Get(x, y)) {
-          ins_.cache_served_explains->Increment();
-          FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
-          return *cached;
-        }
-      }
+    std::lock_guard<std::mutex> lock(mu_);
+    // Explaining consults only the recorded context (paper Section 6),
+    // so it keeps working when the breaker has taken the model out of
+    // the path — that serve is the "record-only fallback" rung.
+    if (breaker_.state() == CircuitBreaker::State::kOpen) {
+      ins_.fallback_serves->Increment();
     }
-    // Stamp the delta ring *before* merging: any Record that lands
-    // between this read and the merge advances the ring past the stamp,
-    // and Put() refuses entries whose window membership is ambiguous —
-    // the cache's exactness gate.
-    if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
-    // Merge the shard windows by global sequence number: exact arrival
-    // order, so the key search sees the same context a 1-shard proxy
-    // would and returns bit-identical keys.
-    context = MergedContext();
-    degraded_context = AnyShardQuarantined();
-    if (context.size() == 0) {
-      Status status =
-          Status::FailedPrecondition("no predictions recorded yet");
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError, &status);
-      return status;
+    // Admitted but under pressure (queued, saturated limiter, CoDel):
+    // prefer the cached key over burning a saturated machine on a
+    // search.
+    if (permit.has_value() && permit->under_pressure() &&
+        explain_cache_ != nullptr) {
+      if (auto cached = explain_cache_->Get(x, y)) {
+        ins_.cache_served_explains->Increment();
+        FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
+        return *cached;
+      }
     }
   }
-  // The key search runs on the copy, outside every lock: a slow Explain
-  // never stalls Predict/Record traffic. The configuration is assembled
-  // by the shared read path so a read replica searching the same rows
-  // computes the bit-identical key.
-  Result<KeyResult> key = [&] {
+  // Stamp the delta ring *before* reading the index: any Record that
+  // lands after this read advances the ring past the stamp, and Put()
+  // refuses entries whose window membership is ambiguous — the cache's
+  // exactness gate.
+  const uint64_t cache_stamp =
+      explain_cache_ != nullptr ? explain_cache_->delta_seq() : 0;
+  const bool degraded_context = AnyShardQuarantined();
+  // The key search reads the live index under its read lock and nothing
+  // else: no merge, no copy, no bitmap build, and a Record waits for at
+  // most this one search. The index's positions follow the global
+  // sequence, so the key is the one a 1-shard proxy — or a replica at
+  // the same view — computes.
+  size_t window_rows = 0;
+  Result<KeyResult> key = [&]() -> Result<KeyResult> {
     auto span = trace.Phase("search");
-    return SearchKey(context, x, y, deadline, ExplainReadPath());
+    const LiveIndex::Reader view = index_->Read();
+    window_rows = view.rows();
+    if (window_rows == 0) {
+      return Status::FailedPrecondition("no predictions recorded yet");
+    }
+    return view.Search(x, y, deadline, ExplainReadPath());
   }();
   if (!key.ok()) {
     FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError,
@@ -808,7 +803,7 @@ Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
       // Only full (minimised) keys are worth caching: a padded degraded
       // key served from cache would degrade answers even when idle.
       std::lock_guard<std::mutex> lock(mu_);
-      explain_cache_->Put(x, y, cache_stamp, context.size(), *key);
+      explain_cache_->Put(x, y, cache_stamp, window_rows, *key);
     }
     FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedFull);
   }
@@ -863,10 +858,9 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     results[i] = *std::move(cached);
     return true;
   };
-  // One admission charge for the whole batch: the expensive unit of work
-  // is the shared bitmap build, and the per-item greedy is cheap next to
-  // it. The earliest finite deadline bounds the queue wait so no item
-  // waits past its own budget just to be admitted.
+  // One admission charge for the whole batch: it is one execution under
+  // one index read lock. The earliest finite deadline bounds the queue
+  // wait so no item waits past its own budget just to be admitted.
   std::optional<OverloadController::Permit> permit;
   if (overload_ != nullptr) {
     Deadline admit_deadline = items[live.front()].deadline;
@@ -894,51 +888,45 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     }
     permit.emplace(std::move(admitted).value());
   }
-  Context context(schema_);
-  uint64_t cache_stamp = 0;
-  bool degraded_context = false;
   std::vector<size_t> pending;
   pending.reserve(live.size());
   {
-    auto span = trace.Phase("snapshot");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (breaker_.state() == CircuitBreaker::State::kOpen) {
-        ins_.fallback_serves->Increment();
-      }
-      // Under pressure, items with a fresh cached key skip the search;
-      // only the remainder costs bitmap work.
-      const bool under_pressure =
-          permit.has_value() && permit->under_pressure();
-      for (size_t i : live) {
-        if (under_pressure && serve_cached_locked(i)) continue;
-        pending.push_back(i);
-      }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (breaker_.state() == CircuitBreaker::State::kOpen) {
+      ins_.fallback_serves->Increment();
     }
-    if (pending.empty()) {
-      trace.set_outcome(obs::TraceOutcome::kServedCached);
-      return results;
-    }
-    if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
-    context = MergedContext();
-    degraded_context = AnyShardQuarantined();
-    if (context.size() == 0) {
-      Status status =
-          Status::FailedPrecondition("no predictions recorded yet");
-      for (size_t i : pending) {
-        count_item(obs::TraceOutcome::kError);
-        results[i] = status;
-      }
-      trace.set_outcome(obs::TraceOutcome::kError);
-      return results;
+    // Under pressure, items with a fresh cached key skip the search;
+    // only the remainder reads the index.
+    const bool under_pressure =
+        permit.has_value() && permit->under_pressure();
+    for (size_t i : live) {
+      if (under_pressure && serve_cached_locked(i)) continue;
+      pending.push_back(i);
     }
   }
+  if (pending.empty()) {
+    trace.set_outcome(obs::TraceOutcome::kServedCached);
+    return results;
+  }
+  const uint64_t cache_stamp =
+      explain_cache_ != nullptr ? explain_cache_->delta_seq() : 0;
+  const bool degraded_context = AnyShardQuarantined();
   std::vector<BatchQuery> batch;
   batch.reserve(pending.size());
   for (size_t i : pending) batch.push_back(items[i]);
-  Result<std::vector<KeyResult>> keys = [&] {
+  // One read-lock acquisition for the whole batch, released before the
+  // next batch: every item sees the same window, and a Record waits for
+  // at most this batch.
+  size_t window_rows = 0;
+  Result<std::vector<KeyResult>> keys =
+      [&]() -> Result<std::vector<KeyResult>> {
     auto span = trace.Phase("search");
-    return SearchKeyBatch(context, batch, ExplainReadPath());
+    const LiveIndex::Reader view = index_->Read();
+    window_rows = view.rows();
+    if (window_rows == 0) {
+      return Status::FailedPrecondition("no predictions recorded yet");
+    }
+    return view.SearchBatch(batch, ExplainReadPath());
   }();
   if (!keys.ok()) {
     for (size_t i : pending) {
@@ -965,7 +953,7 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     } else {
       if (explain_cache_ != nullptr) {
         explain_cache_->Put(items[i].x, items[i].y, cache_stamp,
-                            context.size(), key);
+                            window_rows, key);
       }
       count_item(obs::TraceOutcome::kServedFull);
     }
@@ -1009,7 +997,7 @@ ExplainableProxy::Counterfactuals(const Instance& x, Label y) const {
         ins_.fallback_serves->Increment();
       }
     }
-    context = MergedContext();
+    context = ContextSnapshot();
     if (context.size() == 0) {
       Status status =
           Status::FailedPrecondition("no predictions recorded yet");

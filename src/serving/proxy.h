@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/context_shard.h"
+#include "serving/live_index.h"
 #include "serving/overload.h"
 #include "serving/read_path.h"
 #include "serving/resilience.h"
@@ -88,16 +89,21 @@ namespace cce::serving {
 /// and RepairShard() re-admits the shard on a fresh generation. A shard
 /// whose fsync fails goes read-only (its WAL is poisoned; no append may
 /// claim durability on top of possibly-dropped pages) until compaction
-/// rewrites the log. Rows carry a proxy-global sequence number and Explain
-/// merges shard windows by it, so keys are bit-identical to a 1-shard
-/// proxy.
+/// rewrites the log. Rows carry a proxy-global sequence number, and the
+/// one read model — a LiveIndex holding each live row at bit position
+/// seq − base — is kept current in place by Record, eviction and repair,
+/// so keys are bit-identical to a 1-shard proxy and Explain only searches.
 ///
 /// Thread safety: all public methods may be called concurrently. Predict
 /// is serialised by an internal mutex (the breaker counts consecutive
-/// *operations*, which only means anything serialised); Record takes only
-/// its target shard's lock; Explain and Counterfactuals copy the context
-/// under the shard locks and run the key search outside them, so slow
-/// explanations never block recording.
+/// *operations*, which only means anything serialised). Record takes its
+/// target shard's lock, appends to the WAL, then updates the live index
+/// under the index's write lock (lock order shard -> index). Explain and
+/// ExplainBatch search the index under one read-lock acquisition per call
+/// or batch; the lock gives waiting writers priority, so a Record waits
+/// for at most the searches already running, never across batches.
+/// Counterfactuals copies the sequence-merged context under the shard
+/// locks and searches outside them.
 class ExplainableProxy {
  public:
   struct Options {
@@ -113,17 +119,17 @@ class ExplainableProxy {
     /// different shard count is adopted: rows from orphan shard files are
     /// re-routed by hash and re-logged, then the orphans are deleted.
     size_t shards = 1;
-    /// Selects the blocked-bitset conformity engine for Explain's key
-    /// search (docs/algorithms.md): violator counting becomes word-AND +
-    /// popcount sharded across a proxy-owned pool. Keys are bit-identical
-    /// to the serial engine; only latency changes. Adds the
-    /// cce_bitmap_rebuilds_total / cce_conformity_shards_total counters'
-    /// traffic and thread-pool gauges labelled pool="conformity".
+    /// Runs the live index's violator counts on a proxy-owned conformity
+    /// pool (docs/algorithms.md): candidate features of a scalar Explain,
+    /// and the items of an ExplainBatch, fan out across it. Explain always
+    /// searches the bitset live index; this only decides whether the
+    /// counts are spread over threads. Keys are bit-identical either way.
+    /// Adds cce_conformity_shards_total traffic and thread-pool gauges
+    /// labelled pool="conformity".
     bool parallel_conformity = false;
     /// Worker threads for the conformity pool; 0 = hardware concurrency,
-    /// 1 = run the bitset engine serially with no pool at all (a 1-thread
-    /// pool only adds dispatch overhead). Read only when
-    /// parallel_conformity is set.
+    /// 1 = count serially with no pool at all (a 1-thread pool only adds
+    /// dispatch overhead). Read only when parallel_conformity is set.
     size_t conformity_threads = 0;
     /// Enable the succinctness-based drift monitor (one per shard; with
     /// shards = 1 this is exactly the classic monitor).
@@ -235,16 +241,15 @@ class ExplainableProxy {
                             const Deadline& deadline = {}) const;
 
   /// Explains a batch of recorded (instance, prediction) pairs against ONE
-  /// context snapshot, sharing the bitmap build across all items (the
-  /// amortization: one row-major pass over the window instead of one per
-  /// request). Results are positional — result i answers items[i] — and
-  /// every key is bit-identical to what a serial Explain of that item
-  /// against the same snapshot would return, at any pool width and any
-  /// batch split. Admission is charged once for the whole batch (a shared
-  /// build is one expensive-work unit); per-item deadlines still apply
-  /// individually inside the key search, so one slow item degrades only
-  /// itself. On shed, items are answered from the explain cache where a
-  /// generation-fresh entry exists and shed individually otherwise.
+  /// window: every item is searched on the live index under a single
+  /// read-lock acquisition. Results are positional — result i answers
+  /// items[i] — and every key is bit-identical to what a serial Explain of
+  /// that item against the same window would return, at any pool width
+  /// and any batch split. Admission is charged once for the whole batch;
+  /// per-item deadlines still apply individually inside the key search, so
+  /// one slow item degrades only itself. On shed, items are answered from
+  /// the explain cache where a generation-fresh entry exists and shed
+  /// individually otherwise.
   std::vector<Result<KeyResult>> ExplainBatch(
       const std::vector<BatchQuery>& items) const;
 
@@ -348,13 +353,11 @@ class ExplainableProxy {
   /// total window fits context_capacity.
   void EvictToCapacity();
 
-  /// All shard rows merged into global arrival order.
+  /// All shard rows merged into global arrival order (the index build at
+  /// start-up, ContextSnapshot and Counterfactuals).
   std::vector<ContextShard::Row> MergedRows() const;
 
-  /// MergedRows as a Dataset (the Explain/Counterfactuals context copy).
-  Context MergedContext() const;
-
-  /// The proxy's key-search configuration as a shared ReadPath (replicas
+  /// The proxy's key-search configuration for the live index (replicas
   /// build the same structure, which is the bit-identical-keys contract).
   ReadPath ExplainReadPath() const;
 
@@ -375,6 +378,10 @@ class ExplainableProxy {
   /// locks; never the reverse.
   mutable std::mutex mu_;
 
+  /// The Explain read model over every shard's window; built at the end of
+  /// InitShards and attached to each shard, which then keeps it current.
+  /// Declared before shards_ so it outlives their pointers to it.
+  std::unique_ptr<LiveIndex> index_;
   /// The sharded context. Never resized after Create; the vector itself
   /// is immutable, each shard is internally synchronised.
   std::vector<std::unique_ptr<ContextShard>> shards_;
@@ -406,8 +413,8 @@ class ExplainableProxy {
   /// Recent-request ring; null when tracing is disabled.
   std::unique_ptr<obs::TraceRing> traces_;
 
-  /// Bitset-engine worker pool; null unless Options::parallel_conformity
-  /// (or when conformity_threads == 1: serial bitset, no pool). Shared by
+  /// Live-index count pool; null unless Options::parallel_conformity (or
+  /// when conformity_threads == 1: serial counts, no pool). Shared by
   /// concurrent Explain calls (each call's tasks only touch that call's
   /// buffers). Declared after registry_ and before its gauges so on
   /// destruction the gauges unbind first, while the registry and the pool

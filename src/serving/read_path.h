@@ -16,18 +16,20 @@
 
 namespace cce::serving {
 
-/// The one explanation read path, shared by the leader proxy and its read
-/// replicas. Both sides materialize a sequence-ordered row view into a
-/// Context and run the identical SRK search configuration through these
-/// helpers — which is what makes a caught-up replica's keys bit-identical
-/// to the leader's, not merely equivalent.
+/// The key-search configuration, shared by the leader proxy and its read
+/// replicas: both search a LiveIndex with the same ReadPath, which is what
+/// makes a caught-up replica's keys bit-identical to the leader's, not
+/// merely equivalent. The helpers below run the same configuration over a
+/// materialized, sequence-ordered Context instead: the sorted-merge
+/// oracle that served keys are tested against, and Counterfactuals.
 struct ReadPath {
   /// Conformity bound for the key search.
   double alpha = 1.0;
-  /// Use the blocked-bitset conformity engine (keys unchanged; see
-  /// docs/algorithms.md).
+  /// Live index: run counts on `pool`. SearchKey / SearchKeyBatch: use the
+  /// blocked-bitset engine instead of sorted-merge. Keys are unchanged
+  /// either way (docs/algorithms.md).
   bool parallel_conformity = false;
-  /// Worker pool for the bitset engine; null runs it serially.
+  /// Worker pool for the counts; null runs them serially.
   ThreadPool* pool = nullptr;
   /// Optional engine-stat sinks (cce_bitmap_rebuilds_total /
   /// cce_conformity_shards_total cells); null skips the export.

@@ -1,6 +1,7 @@
 #include "serving/replica_proxy.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -22,6 +23,7 @@ ReplicaProxy::ReplicaProxy(std::shared_ptr<const Schema> schema,
     registry_ = std::make_shared<obs::Registry>(obs::Registry::Options{});
   }
   InitInstruments();
+  index_ = std::make_shared<LiveIndex>(schema_, bitmap_rebuilds_);
   if (options_.parallel_conformity && options_.conformity_threads != 1) {
     conformity_pool_ =
         std::make_unique<ThreadPool>(options_.conformity_threads);
@@ -96,11 +98,11 @@ void ReplicaProxy::InitInstruments() {
                              "Explain() calls served by the replica.");
   bitmap_rebuilds_ = reg.GetCounter(
       "cce_bitmap_rebuilds_total",
-      "Full conformity-bitmap builds by the bitset engine (one per "
-      "bitset-path Explain).");
+      "Full builds of the live conformity index (one at proxy start, one "
+      "per replica rebuild or resync; none per Explain).");
   conformity_shards_ = reg.GetCounter(
       "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by the bitset engine "
+      "Work items dispatched to the conformity pool by live-index counts "
       "(shard fanout).");
   explain_latency_us_ = reg.GetHistogram(
       "cce_replica_explain_latency_us",
@@ -206,6 +208,7 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
     }
     tail->base = entry.wal_base;
     tail->bootstrapped = true;
+    tail->reindex = true;
   };
 
   uint64_t applied_before = tail->rows.size();
@@ -255,21 +258,55 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
   tail->cause.clear();
 }
 
-void ReplicaProxy::PublishViewLocked() {
-  uint64_t view = 0;
-  bool first = true;
-  for (size_t i = 0; i < tails_.size(); ++i) {
-    const ShardTail& tail = tails_[i];
-    if (first || tail.applied_through < view) view = tail.applied_through;
-    first = false;
-    TailGauge(i)->Set(tail.quarantined ? 1 : 0);
+uint64_t ReplicaProxy::ViewOf(const std::vector<ShardTail>& tails) {
+  if (tails.empty()) return 0;
+  uint64_t view = tails.front().applied_through;
+  for (const ShardTail& tail : tails) {
+    view = std::min(view, tail.applied_through);
   }
-  view_published_ = tails_.empty() ? 0 : view;
+  return view;
+}
+
+void ReplicaProxy::PublishViewLocked() {
+  for (size_t i = 0; i < tails_.size(); ++i) {
+    TailGauge(i)->Set(tails_[i].quarantined ? 1 : 0);
+  }
+  view_published_ = ViewOf(tails_);
   published_gauge_->Set(static_cast<int64_t>(view_published_));
   const uint64_t lag = latest_published_ > view_published_
                            ? latest_published_ - view_published_
                            : 0;
   lag_hist_->Observe(static_cast<int64_t>(lag));
+  SyncIndexLocked();
+}
+
+void ReplicaProxy::SyncIndexLocked() {
+  bool rebuild = view_published_ < indexed_view_;
+  for (const ShardTail& tail : tails_) rebuild = rebuild || tail.reindex;
+  if (rebuild) {
+    auto fresh = std::make_shared<LiveIndex>(schema_, bitmap_rebuilds_);
+    fresh->Rebuild(ViewRowsOf(tails_, view_published_,
+                              options_.context_capacity));
+    index_ = std::move(fresh);
+    for (ShardTail& tail : tails_) tail.reindex = false;
+  } else if (view_published_ > indexed_view_) {
+    // Tails only grow above the old watermark (each is complete below its
+    // applied_through), so the newly admitted rows are exactly those in
+    // [indexed_view_, view_published_); the newest `capacity` of old and
+    // new rows is the new window.
+    for (const ShardTail& tail : tails_) {
+      auto it = std::lower_bound(
+          tail.rows.begin(), tail.rows.end(), indexed_view_,
+          [](const ContextShard::Row& row, uint64_t seq) {
+            return row.seq < seq;
+          });
+      for (; it != tail.rows.end() && it->seq < view_published_; ++it) {
+        index_->Insert(it->seq, it->x, it->y);
+      }
+    }
+    index_->TrimToCapacity(options_.context_capacity);
+  }
+  indexed_view_ = view_published_;
 }
 
 Status ReplicaProxy::LoadShipState(io::ShipManifest* manifest,
@@ -439,18 +476,26 @@ Status ReplicaProxy::ForceResync() {
   }
   ResetManifestBackoff();
 
-  // Rebuild replacement tails from the shipped files *outside* mu_, then
-  // swap atomically: concurrent Explains keep serving the old view for
-  // the whole rebuild and never see a transient empty window — which is
-  // what makes ForceResync on an in-sync replica a safe no-op.
+  // Rebuild replacement tails and their index from the shipped files
+  // *outside* mu_, then swap both atomically: concurrent Explains keep
+  // serving the old view for the whole rebuild and never see a transient
+  // empty window — which is what makes ForceResync on an in-sync replica
+  // a safe no-op.
   std::vector<ShardTail> fresh(manifest.shards.size());
   for (size_t i = 0; i < manifest.shards.size(); ++i) {
     ApplyShard(manifest.shards[i], files[i].snapshot, files[i].snapshot_ok,
                files[i].wal, files[i].wal_ok, &fresh[i]);
+    fresh[i].reindex = false;
   }
+  const uint64_t fresh_view = ViewOf(fresh);
+  auto fresh_index = std::make_shared<LiveIndex>(schema_, bitmap_rebuilds_);
+  fresh_index->Rebuild(
+      ViewRowsOf(fresh, fresh_view, options_.context_capacity));
   std::lock_guard<std::mutex> state_lock(mu_);
   if (!tails_.empty() && resyncs_ != nullptr) resyncs_->Increment();
   tails_ = std::move(fresh);
+  index_ = std::move(fresh_index);
+  indexed_view_ = fresh_view;
   latest_published_ = manifest.published_seq;
   manifest_ok_ = true;
   PublishViewLocked();
@@ -497,13 +542,12 @@ void ReplicaProxy::Stop() {
   started_ = false;
 }
 
-std::vector<ContextShard::Row> ReplicaProxy::ViewRows(
-    bool* degraded) const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<ContextShard::Row> ReplicaProxy::ViewRowsOf(
+    const std::vector<ShardTail>& tails, uint64_t view, size_t capacity) {
   std::vector<ContextShard::Row> rows;
-  for (const ShardTail& tail : tails_) {
+  for (const ShardTail& tail : tails) {
     for (const ContextShard::Row& row : tail.rows) {
-      if (row.seq >= view_published_) break;  // seq-ascending per tail
+      if (row.seq >= view) break;  // seq-ascending per tail
       rows.push_back(row);
     }
   }
@@ -515,20 +559,26 @@ std::vector<ContextShard::Row> ReplicaProxy::ViewRows(
   // shipped files may retain already-evicted rows (they leave the WAL
   // only at compaction). Keeping the newest `capacity` rows by sequence
   // reproduces the leader's window exactly.
-  if (options_.context_capacity > 0 &&
-      rows.size() > options_.context_capacity) {
+  if (capacity > 0 && rows.size() > capacity) {
     rows.erase(rows.begin(),
                rows.begin() + static_cast<std::vector<
-                   ContextShard::Row>::difference_type>(
-                   rows.size() - options_.context_capacity));
-  }
-  if (degraded != nullptr) {
-    *degraded = !manifest_ok_;
-    for (const ShardTail& tail : tails_) {
-      if (tail.quarantined) *degraded = true;
-    }
+                   ContextShard::Row>::difference_type>(rows.size() -
+                                                        capacity));
   }
   return rows;
+}
+
+std::vector<ContextShard::Row> ReplicaProxy::ViewRows() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ViewRowsOf(tails_, view_published_, options_.context_capacity);
+}
+
+bool ReplicaProxy::DegradedLocked() const {
+  if (!manifest_ok_) return true;
+  for (const ShardTail& tail : tails_) {
+    if (tail.quarantined) return true;
+  }
+  return false;
 }
 
 ReadPath ReplicaProxy::ExplainReadPath() const {
@@ -536,7 +586,6 @@ ReadPath ReplicaProxy::ExplainReadPath() const {
   path.alpha = options_.alpha;
   path.parallel_conformity = options_.parallel_conformity;
   path.pool = conformity_pool_.get();
-  path.bitmap_rebuilds = bitmap_rebuilds_;
   path.conformity_shards = conformity_shards_;
   return path;
 }
@@ -547,16 +596,24 @@ Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
   explains_->Increment();
   CCE_RETURN_IF_ERROR(schema_->ValidateInstance(x));
   CCE_RETURN_IF_ERROR(schema_->ValidateLabel(y));
+  // The read lock is taken under mu_, so the window and the degraded flag
+  // describe the same view; index writers hold mu_, so it is granted at
+  // once. The search itself runs outside mu_.
+  std::shared_ptr<const LiveIndex> index;
+  std::optional<LiveIndex::Reader> view;
   bool degraded = false;
-  const std::vector<ContextShard::Row> rows = ViewRows(&degraded);
-  if (rows.empty()) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    index = index_;
+    view.emplace(index->Read());
+    degraded = DegradedLocked();
+  }
+  if (view->rows() == 0) {
     return Status::FailedPrecondition(
         "replica view is empty (leader has not shipped, or the view "
         "watermark is 0)");
   }
-  const Context context = MaterializeContext(schema_, rows);
-  Result<KeyResult> key =
-      SearchKey(context, x, y, deadline, ExplainReadPath());
+  Result<KeyResult> key = view->Search(x, y, deadline, ExplainReadPath());
   if (key.ok() && degraded) {
     // A quarantined tail or failing manifest means the view may be
     // stale; the key is still exactly right for published_seq(), and
@@ -570,8 +627,7 @@ Result<std::vector<RelativeCounterfactual>> ReplicaProxy::Counterfactuals(
     const Instance& x, Label y) const {
   CCE_RETURN_IF_ERROR(schema_->ValidateInstance(x));
   CCE_RETURN_IF_ERROR(schema_->ValidateLabel(y));
-  bool degraded = false;
-  const std::vector<ContextShard::Row> rows = ViewRows(&degraded);
+  const std::vector<ContextShard::Row> rows = ViewRows();
   if (rows.empty()) {
     return Status::FailedPrecondition("replica view is empty");
   }
@@ -580,7 +636,7 @@ Result<std::vector<RelativeCounterfactual>> ReplicaProxy::Counterfactuals(
 }
 
 Context ReplicaProxy::ContextSnapshot() const {
-  return MaterializeContext(schema_, ViewRows(nullptr));
+  return MaterializeContext(schema_, ViewRows());
 }
 
 uint64_t ReplicaProxy::published_seq() const {

@@ -23,6 +23,7 @@
 #include "io/ship_manifest.h"
 #include "obs/metrics.h"
 #include "serving/context_shard.h"
+#include "serving/live_index.h"
 #include "serving/read_path.h"
 #include "serving/resilience.h"
 
@@ -52,9 +53,18 @@ namespace cce::serving {
 /// from the shipped files (dropping only replica-side state — the ship
 /// directory is the source of truth).
 ///
+/// Read model. Explain searches a LiveIndex over the served view — the
+/// same index type the leader serves from, so both sides run one search
+/// over the same bits. Catch-up inserts the rows the advancing watermark
+/// admits and trims the index to capacity by sequence; anything that
+/// replaces applied rows (a new generation, a divergence resync, a shard
+/// count change) rebuilds it once, and ForceResync builds a fresh index
+/// off to the side and swaps it in.
+///
 /// Thread safety: all public methods may be called concurrently. CatchUp,
 /// Scrub and ForceResync serialise on an internal catch-up mutex; Explain
-/// copies the view under a short lock and searches outside it.
+/// takes the index's read lock under a short state lock and searches
+/// outside the state lock.
 class ReplicaProxy {
  public:
   struct Options {
@@ -65,8 +75,8 @@ class ReplicaProxy {
     size_t context_capacity = 0;
     /// Conformity bound — must equal the leader's alpha.
     double alpha = 1.0;
-    /// Key-search engine configuration (see ExplainableProxy::Options);
-    /// either setting yields the same keys, only latency differs.
+    /// Live-index count pool (see ExplainableProxy::Options); either
+    /// setting yields the same keys, only latency differs.
     bool parallel_conformity = false;
     size_t conformity_threads = 0;
     /// I/O surface; null means io::Env::Default(). Tests inject
@@ -199,6 +209,10 @@ class ReplicaProxy {
     std::vector<ContextShard::Row> rows;
     /// Manifest watermark this tail is complete up to.
     uint64_t applied_through = 0;
+    /// Set when `rows` changed other than by appending rows above the
+    /// view watermark (a fresh tail, a new generation, a resync): the live
+    /// index must be rebuilt rather than advanced.
+    bool reindex = true;
   };
 
   /// One shard's shipped file contents, read before any lock is taken.
@@ -233,10 +247,23 @@ class ReplicaProxy {
   /// half of the manifest digest contract).
   static uint32_t DigestRows(const std::vector<ContextShard::Row>& rows,
                              uint64_t published);
-  /// Recomputes the view watermark + gauges from the tails. Under mu_.
+  /// Recomputes the view watermark + gauges from the tails and brings the
+  /// live index to the new watermark. Under mu_.
   void PublishViewLocked();
+  /// Advances index_ from indexed_view_ to view_published_, or rebuilds it
+  /// when any tail was marked reindex or the view moved back. Under mu_.
+  void SyncIndexLocked();
+  /// The view watermark of `tails`: the lowest applied_through.
+  static uint64_t ViewOf(const std::vector<ShardTail>& tails);
+  /// The rows of `tails` below `view`, in sequence order, keeping the
+  /// newest `capacity` (0 = all).
+  static std::vector<ContextShard::Row> ViewRowsOf(
+      const std::vector<ShardTail>& tails, uint64_t view, size_t capacity);
+  /// True when the view may be stale (failing manifest or quarantined
+  /// tail). Under mu_.
+  bool DegradedLocked() const;
   /// Copies the served view (seq < view watermark, capacity-windowed).
-  std::vector<ContextShard::Row> ViewRows(bool* degraded) const;
+  std::vector<ContextShard::Row> ViewRows() const;
   Status CatchUpLocked();
   ReadPath ExplainReadPath() const;
   /// Lazily creates the per-shard tail-quarantined gauge.
@@ -252,6 +279,11 @@ class ReplicaProxy {
   /// Guards tails_ + view fields. Held only for memory work.
   mutable std::mutex mu_;
   std::vector<ShardTail> tails_;
+  /// The served read model; swapped whole on rebuild so a running search
+  /// keeps the index it started on.
+  std::shared_ptr<LiveIndex> index_;
+  /// The view watermark index_ reflects.
+  uint64_t indexed_view_ = 0;
   uint64_t view_published_ = 0;
   uint64_t latest_published_ = 0;
   bool manifest_ok_ = false;

@@ -257,8 +257,8 @@ struct HealthSnapshot {
   uint64_t cache_revalidations = 0;
   uint64_t cache_revalidation_failures = 0;
   uint64_t cache_served_explains = 0;
-  /// Amortized batch Explain: shared-build executions and the items they
-  /// answered (items / executions = the achieved amortization factor).
+  /// Batch Explain: executions (one live-index read each) and the items
+  /// they answered (items / executions = the achieved batching factor).
   uint64_t batch_executions = 0;
   uint64_t batch_items = 0;
 

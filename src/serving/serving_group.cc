@@ -186,6 +186,11 @@ std::vector<size_t> ServingGroup::RouteOrder() {
       if (!fresh_a && ba.published != bb.published) {
         return ba.published > bb.published;
       }
+      // The leader wins a freshness tie: a replica can only match it as of
+      // the last probe, and any write since then leaves the replica's view
+      // below the served floor, where its answer would be demoted to
+      // degraded. Latency decides between replicas.
+      if ((a == 0) != (b == 0)) return a == 0;
       if (p95_a != p95_b) return p95_a < p95_b;
     } else {  // kPreferAvailable
       if (p95_a != p95_b) return p95_a < p95_b;

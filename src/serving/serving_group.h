@@ -31,9 +31,12 @@ enum class RoutePolicy {
   /// of the leader (the pre-group behaviour, and the bench baseline).
   kLeaderOnly = 0,
   /// Reads prefer the freshest non-degraded view: the leader first, then
-  /// replicas by published sequence descending. A replica within
-  /// `freshness_slack_seq` of the leader ties and the faster one (p95)
-  /// wins. This is the default: leader answers unless it is sick.
+  /// replicas by published sequence descending. Replicas within
+  /// `freshness_slack_seq` of the freshest view tie, and the faster one
+  /// (p95) wins; the leader wins any tie it is part of, because a replica
+  /// that matched it at the last probe falls behind the served floor with
+  /// the next write. This is the default: leader answers unless it is
+  /// sick.
   kPreferFresh = 1,
   /// Reads prefer whoever answers fastest among the healthy backends
   /// (p95 ascending, degraded views last), accepting bounded staleness.
@@ -190,8 +193,8 @@ class ServingGroup {
                                 const Deadline& deadline = {});
 
   /// Routed batch Explain: one routing decision and one backend dispatch
-  /// answers every item. On the leader the items run as a shared-build
-  /// ExplainableProxy::ExplainBatch (one fused bitmap build); on a replica
+  /// answers every item. On the leader the items run as one
+  /// ExplainableProxy::ExplainBatch (one live-index read lock); on a replica
   /// they run item-by-item against a single routed view. Never hedged.
   /// Results are positional — result i answers items[i] — and item
   /// failures are individual: per-item deadlines and degradation flags are

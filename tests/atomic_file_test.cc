@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "common/logging.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
@@ -24,7 +26,8 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(AtomicFileTest, WritesNewFile) {
-  const std::string path = ::testing::TempDir() + "/atomic_new.txt";
+  const cce::testing::ScopedTempDir path_scope;
+  const std::string path = path_scope.File("atomic_new.txt");
   std::remove(path.c_str());
   CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
     *out << "hello\n";
@@ -35,7 +38,8 @@ TEST(AtomicFileTest, WritesNewFile) {
 }
 
 TEST(AtomicFileTest, ReplacesExistingContentAtomically) {
-  const std::string path = ::testing::TempDir() + "/atomic_replace.txt";
+  const cce::testing::ScopedTempDir path_scope;
+  const std::string path = path_scope.File("atomic_replace.txt");
   CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
     *out << "old";
     return Status::Ok();
@@ -49,7 +53,8 @@ TEST(AtomicFileTest, ReplacesExistingContentAtomically) {
 }
 
 TEST(AtomicFileTest, WriterErrorLeavesOriginalIntactAndNoTempBehind) {
-  const std::string path = ::testing::TempDir() + "/atomic_failed.txt";
+  const cce::testing::ScopedTempDir path_scope;
+  const std::string path = path_scope.File("atomic_failed.txt");
   CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
     *out << "precious";
     return Status::Ok();
@@ -89,13 +94,11 @@ size_t CountTmpOrphans(const std::string& dir) {
 class AtomicFileFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/atomic_fault_test";
-    CCE_CHECK_OK(EnsureDirectory(dir_));
-    std::vector<std::string> names;
-    CCE_CHECK_OK(Env::Default()->ListDir(dir_, &names));
-    for (const std::string& name : names) {
-      CCE_CHECK_OK(Env::Default()->RemoveFile(dir_ + "/" + name));
-    }
+    // One directory per test: the fixture's cases run as separate
+    // processes under ctest -j, and a shared directory lets one case's
+    // setup delete another's files mid-assertion.
+    scope_ = std::make_unique<cce::testing::ScopedTempDir>();
+    dir_ = scope_->path();
     path_ = dir_ + "/target.bin";
     CCE_CHECK_OK(AtomicWriteFile(path_, [](std::ostream* out) {
       *out << "previous generation";
@@ -103,6 +106,7 @@ class AtomicFileFaultTest : public ::testing::Test {
     }));
   }
 
+  std::unique_ptr<cce::testing::ScopedTempDir> scope_;
   std::string dir_;
   std::string path_;
 };
@@ -164,7 +168,8 @@ TEST(IsAtomicTempNameTest, MatchesOnlyTheTempPattern) {
 }
 
 TEST(EnsureDirectoryTest, CreatesOnceAndIsIdempotent) {
-  const std::string dir = ::testing::TempDir() + "/atomic_mkdir_test";
+  const cce::testing::ScopedTempDir dir_scope;
+  const std::string dir = dir_scope.File("atomic_mkdir_test");
   CCE_CHECK_OK(EnsureDirectory(dir));
   CCE_CHECK_OK(EnsureDirectory(dir));
   // A file with the same name is rejected.

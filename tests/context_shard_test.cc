@@ -38,13 +38,13 @@ class ContextShardTest : public ::testing::Test {
         cce::testing::RandomContext(100, 4, 2, 31, /*noise=*/0.0));
   }
 
+  /// A fresh directory owned by this test, removed when it ends.
   std::string MakeDir(const std::string& tag) {
-    const std::string dir = ::testing::TempDir() + "/cce_shard_" + tag;
-    std::remove((dir + "/context.wal").c_str());
-    std::remove((dir + "/context.snapshot").c_str());
-    CCE_CHECK_OK(io::Env::Default()->CreateDir(dir));
-    return dir;
+    dirs_.push_back(std::make_unique<cce::testing::ScopedTempDir>(tag));
+    return dirs_.back()->path();
   }
+
+  std::vector<std::unique_ptr<cce::testing::ScopedTempDir>> dirs_;
 
   ContextShard::Options ShardOptions(const std::string& dir,
                                      io::Env* env = nullptr) {

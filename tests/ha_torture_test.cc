@@ -52,15 +52,6 @@ size_t IterationBudget() {
   return parsed > 0 ? static_cast<size_t>(parsed) : 25;
 }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 /// Supervisor tuned for tick-driven torture: act on the first confirmed
 /// fault, no wall-clock waits, no rate limit (determinism beats realism
 /// here — the rate limiter has its own test).
@@ -79,10 +70,10 @@ Supervisor::Options TortureSupervisor() {
 TEST(HaTortureTest, GroupSurvivesDualFaultsAndSelfHeals) {
   const size_t kShards = 4;
   const size_t kIterations = IterationBudget();
-  const std::string leader_dir = ::testing::TempDir() + "/ha_torture_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/ha_torture_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  const cce::testing::ScopedTempDir leader_dir_scope("ha_torture_leader");
+  const std::string leader_dir = leader_dir_scope.path();
+  const cce::testing::ScopedTempDir ship_dir_scope("ha_torture_ship");
+  const std::string ship_dir = ship_dir_scope.path();
 
   Dataset data = cce::testing::RandomContext(300, 4, 2, 31, /*noise=*/0.1);
   Rng rng(20260807);

@@ -75,9 +75,8 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
   // construction; no traffic is needed.
   testing::Fig2Context fig2;
   ParityModel model;
-  const std::string dir = ::testing::TempDir() + "/metrics_doc_wal";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  const cce::testing::ScopedTempDir dir_scope("metrics_doc_wal");
+  const std::string dir = dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.overload.enabled = true;
@@ -92,7 +91,8 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
 
   // The replication pair registers its families in the same registry; one
   // ship + catch-up cycle also creates the lazy per-shard tail gauge.
-  const std::string ship_dir = ::testing::TempDir() + "/metrics_doc_ship";
+  const cce::testing::ScopedTempDir ship_dir_scope("metrics_doc_ship");
+  const std::string ship_dir = ship_dir_scope.path();
   ShardLogShipper::Options ship_options;
   ship_options.source_dir = dir;
   ship_options.ship_dir = ship_dir;
@@ -155,9 +155,6 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
         << "docs/metrics.md documents `" << name << "` (" << type
         << ") but no such metric is registered — stale doc entry";
   }
-
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
 }
 
 }  // namespace

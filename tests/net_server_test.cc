@@ -47,7 +47,12 @@ struct NetStack {
   std::unique_ptr<ServingGroup> group;
   std::unique_ptr<NetServer> server;
 
-  explicit NetStack(NetServer::Options options = {}, size_t rows = 120)
+  /// `explain_delay` > 0 sleeps that long before every backend Explain
+  /// (ServingGroup::Options::explain_interceptor): tests that provoke
+  /// deadlines or sheds through slow searches get them by construction,
+  /// not by racing a key search that takes microseconds.
+  explicit NetStack(NetServer::Options options = {}, size_t rows = 120,
+                    std::chrono::milliseconds explain_delay = {})
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.0)) {
     ExplainableProxy::Options proxy_options;
     proxy_options.monitor_drift = false;
@@ -61,6 +66,11 @@ struct NetStack {
     }
     ServingGroup::Options group_options;
     group_options.policy = serving::RoutePolicy::kLeaderOnly;
+    if (explain_delay.count() > 0) {
+      group_options.explain_interceptor = [explain_delay](size_t) {
+        std::this_thread::sleep_for(explain_delay);
+      };
+    }
     auto group_or = ServingGroup::Create(proxy.get(), {}, group_options);
     CCE_CHECK_OK(group_or.status());
     group = std::move(group_or).value();
@@ -205,7 +215,7 @@ TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
   options.worker_threads = 1;
   options.max_pending = 1;
   options.overflow_retry_after = std::chrono::milliseconds(7);
-  NetStack stack(options);
+  NetStack stack(options, 120, std::chrono::milliseconds(2));
   NetClient client = stack.Connect();
 
   constexpr size_t kBatch = 64;
@@ -242,13 +252,13 @@ TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
   // flood within its deadlines (BatchedFloodMeetsDeadlines below), so the
   // per-request expiry behaviour needs batching off to surface.
   options.max_explain_batch = 1;
-  NetStack stack(options);
+  NetStack stack(options, 120, std::chrono::milliseconds(2));
   NetClient client = stack.Connect();
   constexpr size_t kBatch = 48;
   for (size_t i = 0; i < kBatch; ++i) {
     Request request =
         stack.MakeRequest(MessageType::kExplainRequest, i, i % 100);
-    request.deadline_ms = 1;  // nearly always expired by execution time
+    request.deadline_ms = 1;  // expired by execution time: 2ms per Explain
     ASSERT_TRUE(client.Send(request).ok());
   }
   size_t non_ok = 0;
@@ -329,7 +339,7 @@ TEST(NetServerTest, BatchExplainPoisonedItemFailsAlone) {
 TEST(NetServerTest, BatchedFloodMeetsDeadlines) {
   NetServer::Options options;
   options.worker_threads = 1;  // workers lag the loop: queue depth forms
-  NetStack stack(options);
+  NetStack stack(options, 120, std::chrono::milliseconds(2));
   NetClient client = stack.Connect();
   constexpr size_t kBatch = 48;
   for (size_t i = 0; i < kBatch; ++i) {
@@ -344,8 +354,8 @@ TEST(NetServerTest, BatchedFloodMeetsDeadlines) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (response->status == WireStatus::kOk) ++ok;
   }
-  // The queued flood drains through shared builds: item throughput per
-  // execution > 1, visible in the proxy's amortization counters.
+  // The queued flood drains in batches: item throughput per execution
+  // > 1, visible in the proxy's amortization counters.
   EXPECT_EQ(ok, kBatch) << "batching absorbed the flood within deadline";
   const serving::HealthSnapshot health = stack.proxy->Health();
   EXPECT_GT(health.batch_items, health.batch_executions)

@@ -120,10 +120,8 @@ TEST_F(ProxyConcurrencyTest, ConcurrentPredictRecordExplain) {
 }
 
 TEST_F(ProxyConcurrencyTest, ConcurrentTrafficWithDurability) {
-  const std::string dir =
-      ::testing::TempDir() + "/cce_durability_concurrent";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  const cce::testing::ScopedTempDir dir_scope("cce_durability_concurrent");
+  const std::string dir = dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.durability.dir = dir;

@@ -37,18 +37,11 @@ class ProxyDurabilityTest : public ::testing::Test {
         cce::testing::RandomContext(400, 5, 3, 99, /*noise=*/0.0));
   }
 
-  /// A fresh durability directory, unique per test.
+  /// A fresh durability directory owned by this test (test name + pid),
+  /// removed when it ends.
   std::string MakeDir(const std::string& tag) {
-    const std::string dir = ::testing::TempDir() + "/cce_durability_" + tag;
-    // Clear leftovers from a previous run (including shard files and
-    // orphaned temp files).
-    std::vector<std::string> names;
-    if (io::Env::Default()->ListDir(dir, &names).ok()) {
-      for (const std::string& name : names) {
-        (void)io::Env::Default()->RemoveFile(dir + "/" + name);
-      }
-    }
-    return dir;
+    dirs_.push_back(std::make_unique<cce::testing::ScopedTempDir>(tag));
+    return dirs_.back()->path();
   }
 
   ExplainableProxy::Options DurableOptions(const std::string& dir,
@@ -61,6 +54,7 @@ class ProxyDurabilityTest : public ::testing::Test {
   }
 
   std::unique_ptr<Dataset> data_;
+  std::vector<std::unique_ptr<cce::testing::ScopedTempDir>> dirs_;
 };
 
 TEST_F(ProxyDurabilityTest, KillRecoverRoundTripPreservesTheExplanation) {

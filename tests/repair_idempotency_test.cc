@@ -29,15 +29,6 @@ namespace {
 
 size_t StressScale() { return std::getenv("CCE_STRESS") != nullptr ? 4 : 1; }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 void ExpectSameKey(const KeyResult& actual, const KeyResult& expected,
                    const char* when) {
   EXPECT_EQ(actual.key, expected.key) << when;
@@ -49,8 +40,8 @@ void ExpectSameKey(const KeyResult& actual, const KeyResult& expected,
 TEST(RepairIdempotencyTest, RepairShardOnHealthyShardIsANoOp) {
   const size_t kShards = 4;
   Dataset data = cce::testing::RandomContext(200, 4, 3, 23, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/repair_idem_leader";
-  WipeDir(dir);
+  const cce::testing::ScopedTempDir dir_scope("repair_idem_leader");
+  const std::string dir = dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = kShards;
@@ -104,10 +95,10 @@ TEST(RepairIdempotencyTest, RepairShardOnHealthyShardIsANoOp) {
 TEST(RepairIdempotencyTest, ForceResyncOnInSyncReplicaIsInvisible) {
   const size_t kShards = 4;
   Dataset data = cce::testing::RandomContext(200, 4, 3, 29, /*noise=*/0.1);
-  const std::string leader_dir = ::testing::TempDir() + "/resync_idem_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/resync_idem_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  const cce::testing::ScopedTempDir leader_dir_scope("resync_idem_leader");
+  const std::string leader_dir = leader_dir_scope.path();
+  const cce::testing::ScopedTempDir ship_dir_scope("resync_idem_ship");
+  const std::string ship_dir = ship_dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = kShards;

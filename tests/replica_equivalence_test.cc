@@ -23,17 +23,6 @@ namespace {
 /// compactions, a follower restart, and a torn shipped segment healed by
 /// quarantine -> resync -> re-converge.
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-  return dir;
-}
-
 std::unique_ptr<ExplainableProxy> MakeLeader(const Dataset& data,
                                              size_t shards,
                                              const std::string& dir,
@@ -136,8 +125,10 @@ void ExpectSameStreamingKeys(ExplainableProxy& leader, ReplicaProxy& replica,
 TEST(ReplicaEquivalenceTest, CaughtUpReplicaIsBitIdenticalAcrossShardCounts) {
   for (size_t shards : {size_t{1}, size_t{4}}) {
     const std::string tag = "repl_eq_" + std::to_string(shards);
-    const std::string leader_dir = FreshDir(tag + "_leader");
-    const std::string ship_dir = FreshDir(tag + "_ship");
+    const cce::testing::ScopedTempDir leader_dir_scope(tag + "_leader");
+    const std::string leader_dir = leader_dir_scope.path();
+    const cce::testing::ScopedTempDir ship_dir_scope(tag + "_ship");
+    const std::string ship_dir = ship_dir_scope.path();
     Dataset data = cce::testing::RandomContext(150, 5, 3, 11, /*noise=*/0.1);
     auto leader = MakeLeader(data, shards, leader_dir);
     for (size_t row = 0; row < data.size(); ++row) {
@@ -170,8 +161,10 @@ TEST(ReplicaEquivalenceTest, CaughtUpReplicaIsBitIdenticalAcrossShardCounts) {
 TEST(ReplicaEquivalenceTest, CompactionRestartAndIncrementalTailAgree) {
   for (size_t shards : {size_t{1}, size_t{4}}) {
     const std::string tag = "repl_compact_" + std::to_string(shards);
-    const std::string leader_dir = FreshDir(tag + "_leader");
-    const std::string ship_dir = FreshDir(tag + "_ship");
+    const cce::testing::ScopedTempDir leader_dir_scope(tag + "_leader");
+    const std::string leader_dir = leader_dir_scope.path();
+    const cce::testing::ScopedTempDir ship_dir_scope(tag + "_ship");
+    const std::string ship_dir = ship_dir_scope.path();
     Dataset data = cce::testing::RandomContext(220, 5, 3, 57, /*noise=*/0.1);
     // A tiny compaction threshold forces several generation changes while
     // recording; a capacity forces real eviction on both sides.
@@ -218,8 +211,10 @@ TEST(ReplicaEquivalenceTest, CompactionRestartAndIncrementalTailAgree) {
 
 TEST(ReplicaEquivalenceTest, TornShippedSegmentQuarantinesThenReconverges) {
   const size_t kShards = 4;
-  const std::string leader_dir = FreshDir("repl_torn_leader");
-  const std::string ship_dir = FreshDir("repl_torn_ship");
+  const cce::testing::ScopedTempDir leader_dir_scope("repl_torn_leader");
+  const std::string leader_dir = leader_dir_scope.path();
+  const cce::testing::ScopedTempDir ship_dir_scope("repl_torn_ship");
+  const std::string ship_dir = ship_dir_scope.path();
   Dataset data = cce::testing::RandomContext(160, 5, 3, 91, /*noise=*/0.1);
   auto leader = MakeLeader(data, kShards, leader_dir);
 

@@ -34,22 +34,13 @@ bool StressMode() {
   return raw != nullptr && raw[0] != '\0' && raw[0] != '0';
 }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 TEST(ReplicaStalenessTest, FollowerViewsArePrefixWindowsDuringWriteBursts) {
   const size_t kShards = 4;
   const size_t kRows = StressMode() ? 600 : 200;
-  const std::string leader_dir = ::testing::TempDir() + "/repl_stale_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/repl_stale_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  const cce::testing::ScopedTempDir leader_dir_scope("repl_stale_leader");
+  const std::string leader_dir = leader_dir_scope.path();
+  const cce::testing::ScopedTempDir ship_dir_scope("repl_stale_ship");
+  const std::string ship_dir = ship_dir_scope.path();
 
   Dataset data = cce::testing::RandomContext(kRows, 5, 3, 23, /*noise=*/0.1);
 

@@ -18,19 +18,12 @@
 namespace cce::serving {
 namespace {
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 /// A durable leader with `rows` recorded, one clean ship cycle, and one
 /// caught-up replica — the minimal two-backend group substrate.
 struct GroupStack {
   Dataset data;
+  cce::testing::ScopedTempDir leader_scope;
+  cce::testing::ScopedTempDir ship_scope;
   std::string leader_dir;
   std::string ship_dir;
   std::unique_ptr<ExplainableProxy> leader;
@@ -39,10 +32,10 @@ struct GroupStack {
 
   explicit GroupStack(const std::string& name, size_t rows = 64)
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.1)),
-        leader_dir(::testing::TempDir() + "/" + name + "_leader"),
-        ship_dir(::testing::TempDir() + "/" + name + "_ship") {
-    WipeDir(leader_dir);
-    WipeDir(ship_dir);
+        leader_scope(name + "_leader"),
+        ship_scope(name + "_ship"),
+        leader_dir(leader_scope.path()),
+        ship_dir(ship_scope.path()) {
     ExplainableProxy::Options options;
     options.monitor_drift = false;
     options.shards = 4;
@@ -277,9 +270,9 @@ TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
   // kFailedPrecondition; with the leader evicted the group has only that
   // broken backend, so its breaker must open and fail fast.
   Dataset data = cce::testing::RandomContext(64, 4, 3, 12, /*noise=*/0.1);
-  const std::string empty_ship =
-      ::testing::TempDir() + "/group_breaker_empty_ship";
-  WipeDir(empty_ship);
+  const cce::testing::ScopedTempDir empty_ship_scope(
+      "group_breaker_empty_ship");
+  const std::string empty_ship = empty_ship_scope.path();
   ExplainableProxy::Options leader_options;
   leader_options.monitor_drift = false;
   auto leader_or =

@@ -21,15 +21,6 @@
 namespace cce::serving {
 namespace {
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -55,6 +46,8 @@ uint64_t SupervisorCounter(ServingGroup& group, const char* name) {
 /// replication path.
 struct SupervisedStack {
   Dataset data;
+  cce::testing::ScopedTempDir leader_scope;
+  cce::testing::ScopedTempDir ship_scope;
   std::string leader_dir;
   std::string ship_dir;
   std::unique_ptr<ExplainableProxy> leader;
@@ -64,10 +57,10 @@ struct SupervisedStack {
 
   explicit SupervisedStack(const std::string& name)
       : data(cce::testing::RandomContext(200, 4, 3, 13, /*noise=*/0.1)),
-        leader_dir(::testing::TempDir() + "/" + name + "_leader"),
-        ship_dir(::testing::TempDir() + "/" + name + "_ship") {
-    WipeDir(leader_dir);
-    WipeDir(ship_dir);
+        leader_scope(name + "_leader"),
+        ship_scope(name + "_ship"),
+        leader_dir(leader_scope.path()),
+        ship_dir(ship_scope.path()) {
     ExplainableProxy::Options options;
     options.monitor_drift = false;
     options.shards = 4;
@@ -136,8 +129,8 @@ TEST(SupervisorTest, LevelNames) {
 
 TEST(SupervisorTest, RepairsQuarantinedLeaderShardWithoutManualCalls) {
   Dataset data = cce::testing::RandomContext(120, 4, 3, 7, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/supervisor_repair_leader";
-  WipeDir(dir);
+  const cce::testing::ScopedTempDir dir_scope("supervisor_repair_leader");
+  const std::string dir = dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = 4;
@@ -231,8 +224,8 @@ TEST(SupervisorTest, WalksTheFullLadderOnAnUnhealableReplica) {
 
 TEST(SupervisorTest, TokenBucketLimitsActionsAcrossDomains) {
   Dataset data = cce::testing::RandomContext(120, 4, 3, 9, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/supervisor_bucket";
-  WipeDir(dir);
+  const cce::testing::ScopedTempDir dir_scope("supervisor_bucket");
+  const std::string dir = dir_scope.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = 4;

@@ -1,11 +1,20 @@
 #ifndef CCE_TESTS_TEST_UTIL_H_
 #define CCE_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#if __has_include(<gtest/gtest.h>)
+#include <gtest/gtest.h>
+#define CCE_TEST_UTIL_HAS_GTEST 1
+#endif
 
 #include "common/random.h"
 #include "core/dataset.h"
@@ -27,6 +36,52 @@ inline uint64_t FaultScheduleSeed(uint64_t fallback) {
   if (end == raw || *end != '\0') return fallback;
   return static_cast<uint64_t>(parsed);
 }
+
+#ifdef CCE_TEST_UTIL_HAS_GTEST
+/// A directory that belongs to the running test alone:
+/// <TempDir>/<Suite>.<Test>.<pid>[.<tag>], created empty on construction
+/// and removed with everything in it on destruction. gtest_discover_tests
+/// runs every case as its own process and `ctest -j` runs those side by
+/// side, so a fixed directory name shared by several cases lets them wipe
+/// each other's files; the test name keeps cases apart and the pid keeps
+/// repeated or concurrent runs of one case apart. `tag` separates several
+/// directories of one test (a leader and its ship directory).
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& tag = "") {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info == nullptr
+                           ? std::string("no_test")
+                           : std::string(info->test_suite_name()) + "." +
+                                 info->name();
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized names
+    }
+    path_ = ::testing::TempDir() + "/" + name + "." +
+            std::to_string(::getpid());
+    if (!tag.empty()) path_ += "." + tag;
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::create_directories(path_, ec);
+  }
+  ~ScopedTempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// path() + "/" + name.
+  std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
+#endif  // CCE_TEST_UTIL_HAS_GTEST
 
 /// The example context of the paper's Figure 2 (features Gender, Income,
 /// Credit, Dependent; 7 loan instances x0..x6). The relative key for x0 is
