@@ -2,11 +2,11 @@
 // PR 9 20x open-loop flood replayed with the explanation cache disabled,
 // so every OK response is a LIVE key from a full search — and the only
 // thing that changes between the two configurations is the server's
-// scalar-Explain micro-batching knob:
+// Explain micro-batching knob:
 //
 //   per_request — max_explain_batch = 1: every queued EXPLAIN_REQUEST
-//   runs alone (one admission charge, one bitmap build per key), the
-//   pre-batching behaviour.
+//   runs as a batch of one (one admission charge, one index search per
+//   key).
 //
 //   batched — max_explain_batch = 16 (the default): workers drain the
 //   queue in groups and answer each group with one shared-build

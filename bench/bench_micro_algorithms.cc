@@ -2,7 +2,8 @@
 // in |I| and n, OSRK/SSRK per-arrival update cost, the conformity
 // checker's index construction, and the serial-vs-bitset engine
 // comparison at 1/2/4/8 pool threads (EXPERIMENTS.md "Bitset conformity
-// engine" records the numbers).
+// engine" records the numbers), and the served live-index search with and
+// without its count pool (docs/algorithms.md "The live index").
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,8 @@
 #include "core/osrk.h"
 #include "core/srk.h"
 #include "core/ssrk.h"
+#include "data/generators.h"
+#include "serving/live_index.h"
 #include "tests/test_util.h"
 
 namespace cce {
@@ -197,6 +200,61 @@ void BM_ConformityPrecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConformityPrecision);
+
+// -- The live index: what a served Explain's search costs. ----------------
+//
+// One serving::LiveIndex over an Adult-shaped window, searched exactly as
+// the proxy and the replica search it (LiveIndex::Reader::SearchBatch).
+// Args are {window rows, items per search, pool width (0 = no pool)}; one
+// item is a scalar Explain, whose candidate counts then spread over the
+// pool, and several items spread over it item by item. per_key is the
+// wall time per answered item, so the rows compare directly.
+
+void BM_LiveIndexSearch(benchmark::State& state) {
+  const size_t window = static_cast<size_t>(state.range(0));
+  const size_t items = static_cast<size_t>(state.range(1));
+  const size_t threads = static_cast<size_t>(state.range(2));
+  data::AdultOptions adult;
+  adult.rows = window;
+  adult.seed = 42;
+  const Dataset data = data::GenerateAdult(adult);
+  serving::LiveIndex index(data.schema_ptr());
+  std::vector<serving::ContextShard::Row> rows;
+  for (size_t row = 0; row < data.size(); ++row) {
+    rows.push_back({row, data.instance(row), data.label(row)});
+  }
+  index.Rebuild(rows);
+  std::unique_ptr<ThreadPool> pool;
+  serving::ReadPath path;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    path.parallel_conformity = true;
+    path.pool = pool.get();
+  }
+  // 64 probes from across the window, taken `items` at a time.
+  std::vector<serving::BatchQuery> probes;
+  for (size_t i = 0; i < 64; ++i) {
+    const size_t row = (i * 7919) % data.size();
+    probes.push_back({data.instance(row), data.label(row), {}});
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    std::vector<serving::BatchQuery> batch;
+    for (size_t i = 0; i < items; ++i) {
+      batch.push_back(probes[next]);
+      next = (next + 1) % probes.size();
+    }
+    const auto keys = index.Read().SearchBatch(batch, path, false);
+    benchmark::DoNotOptimize(keys);
+  }
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(items),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LiveIndexSearch)
+    ->ArgsProduct({{2048, 32768, 131072}, {1, 16}, {0, 4}})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace cce

@@ -54,6 +54,13 @@
 # fd (the test takes a /proc/self/fd census). Failures print under the
 # CCE_NET_SEED that reproduces the schedule.
 #
+# SUITE=flake is the hermeticity gate: a plain RelWithDebInfo build (no
+# sanitizer, own build tree) of the whole tier-1 suite, run as
+# ctest -j$(nproc) --schedule-random --repeat until-fail:20. Every case
+# owns its temp directory (tests/test_util.h ScopedTempDir), so cases
+# may run side by side in any order, repeatedly; a failure here is a
+# shared file, a timing assumption or a leaked resource.
+#
 # Usage: scripts/check.sh [extra ctest args...]
 #   BUILD_DIR=build-asan JOBS=8 scripts/check.sh -R ProxyTest
 #   SUITE=stress scripts/check.sh
@@ -62,6 +69,7 @@
 #   SUITE=replica scripts/check.sh
 #   SUITE=ha scripts/check.sh
 #   SUITE=net scripts/check.sh
+#   SUITE=flake scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,8 +103,11 @@ elif [[ "$SUITE" == "net" ]]; then
   SANITIZER=address
   export CCE_NET_ITERS=${CCE_NET_ITERS:-200}
   SUITE_ARGS=(-R 'NetTorture')
+elif [[ "$SUITE" == "flake" ]]; then
+  SANITIZER=none
+  SUITE_ARGS=(--schedule-random --repeat until-fail:20)
 elif [[ -n "$SUITE" ]]; then
-  echo "unknown SUITE='$SUITE' (expected 'stress', 'docs', 'crash', 'replica', 'ha', 'net' or unset)" >&2
+  echo "unknown SUITE='$SUITE' (expected 'stress', 'docs', 'crash', 'replica', 'ha', 'net', 'flake' or unset)" >&2
   exit 2
 fi
 
@@ -109,8 +120,12 @@ case "$SANITIZER" in
     BUILD_DIR=${BUILD_DIR:-build-tsan}
     SAN_FLAGS="-fsanitize=thread"
     ;;
+  none)
+    BUILD_DIR=${BUILD_DIR:-build-flake}
+    SAN_FLAGS=""
+    ;;
   *)
-    echo "unknown SANITIZER='$SANITIZER' (expected 'address' or 'thread')" >&2
+    echo "unknown SANITIZER='$SANITIZER' (expected 'address', 'thread' or 'none')" >&2
     exit 2
     ;;
 esac

@@ -124,6 +124,23 @@ KeyResult RunBitsetGreedy(size_t n, size_t words, size_t context_size,
   return result;
 }
 
+/// The batch entry points' argument checks: alpha in (0, 1] and every
+/// instance of arity `n`.
+Status ValidateBatch(const std::vector<Srk::BatchItem>& items, size_t n,
+                     double alpha) {
+  if (alpha <= 0.0 || alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].x.size() != n) {
+      return Status::InvalidArgument(
+          "batch item " + std::to_string(i) +
+          ": instance arity does not match schema");
+    }
+  }
+  return Status::Ok();
+}
+
 /// Word pointers of prebuilt agreement bitmaps, for RunBitsetGreedy.
 std::vector<const uint64_t*> AgreeWords(const RowBitmap* agree, size_t n) {
   std::vector<const uint64_t*> words(n);
@@ -610,34 +627,19 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
   return result;
 }
 
-Result<KeyResult> Srk::ExplainIndexed(const BitsetConformityChecker& index,
-                                      const Instance& x0, Label y0,
-                                      const Options& options) {
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (x0.size() != index.context().num_features()) {
-    return Status::InvalidArgument("instance arity does not match schema");
-  }
-  return ExplainIndexedItem(index, x0, y0, options.alpha, options.deadline,
-                            options.pool, options.stats);
-}
-
 Result<std::vector<KeyResult>> Srk::ExplainIndexedBatch(
     const BitsetConformityChecker& index, const std::vector<BatchItem>& items,
     const Options& options) {
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  const size_t n = index.context().num_features();
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].x.size() != n) {
-      return Status::InvalidArgument(
-          "batch item " + std::to_string(i) +
-          ": instance arity does not match schema");
-    }
-  }
+  CCE_RETURN_IF_ERROR(
+      ValidateBatch(items, index.context().num_features(), options.alpha));
   std::vector<KeyResult> results(items.size());
+  if (items.size() == 1) {
+    // A lone item spreads its candidate counts over the pool instead.
+    results[0] = ExplainIndexedItem(index, items[0].x, items[0].y,
+                                    options.alpha, items[0].deadline,
+                                    options.pool, options.stats);
+    return results;
+  }
   // Items fan across the pool with a serial greedy inside each task
   // (ThreadPool is non-reentrant); every compared quantity is an exact
   // popcount, so the keys do not depend on the fan-out.
@@ -646,7 +648,7 @@ Result<std::vector<KeyResult>> Srk::ExplainIndexedBatch(
                                     options.alpha, items[i].deadline,
                                     /*pool=*/nullptr, options.stats);
   };
-  if (options.pool != nullptr && items.size() > 1) {
+  if (options.pool != nullptr) {
     options.pool->ParallelFor(items.size(), run_item);
     if (options.stats != nullptr) {
       options.stats->shard_tasks.fetch_add(items.size(),
@@ -661,17 +663,8 @@ Result<std::vector<KeyResult>> Srk::ExplainIndexedBatch(
 Result<std::vector<KeyResult>> Srk::ExplainBatch(
     const Context& context, const std::vector<BatchItem>& items,
     const Options& options) {
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  const size_t n = context.num_features();
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].x.size() != n) {
-      return Status::InvalidArgument(
-          "batch item " + std::to_string(i) +
-          ": instance arity does not match schema");
-    }
-  }
+  CCE_RETURN_IF_ERROR(
+      ValidateBatch(items, context.num_features(), options.alpha));
   std::vector<KeyResult> results;
   if (items.empty()) return results;
 

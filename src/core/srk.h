@@ -98,23 +98,21 @@ class Srk {
       const Context& context, const std::vector<BatchItem>& items,
       const Options& options);
 
-  /// Explains (x0, y0) against a live BitsetConformityChecker whose row ids
-  /// ascend with arrival order (ids may have gaps; removed rows are masked
-  /// by the live set). Nothing is built per call: the greedy reads the
-  /// index's value[f][x0[f]] bitmaps and starts from live & ~label[y0].
+  /// Explains every item against a live BitsetConformityChecker whose row
+  /// ids ascend with arrival order (ids may have gaps; removed rows are
+  /// masked by the live set), positionally, with per-item deadlines
+  /// (`options.deadline` is ignored). Nothing is built per call: each
+  /// greedy reads the index's value[f][x0[f]] bitmaps and starts from
+  /// live & ~label[y0].
   ///
-  /// Determinism contract: the key equals ExplainInstance on the context
-  /// of the live rows in id order, bit for bit, unless a deadline degraded
-  /// it. The tie-break sample is the first min(2048, live) live ids, which
-  /// are exactly that context's first rows. `options.pool` (when set)
-  /// shards candidate counting; `parallel_conformity` is not read.
-  static Result<KeyResult> ExplainIndexed(const BitsetConformityChecker& index,
-                                          const Instance& x0, Label y0,
-                                          const Options& options);
-
-  /// ExplainIndexed for every item, positionally, with per-item deadlines
-  /// (`options.deadline` is ignored). With `options.pool` set, items run
-  /// across the pool, each greedy serial inside its task.
+  /// Determinism contract: item i's key equals ExplainInstance of that
+  /// item on the context of the live rows in id order, bit for bit, unless
+  /// its deadline degraded it. The tie-break sample is the first
+  /// min(2048, live) live ids, which are exactly that context's first rows.
+  /// With `options.pool` set, several items run across the pool (each
+  /// greedy serial inside its task) and a single item shards its
+  /// candidate counting over it instead; `parallel_conformity` is not
+  /// read.
   static Result<std::vector<KeyResult>> ExplainIndexedBatch(
       const BitsetConformityChecker& index,
       const std::vector<BatchItem>& items, const Options& options);

@@ -51,6 +51,24 @@ uint64_t RawRequestId(const uint8_t* frame) {
   return id;
 }
 
+/// Copies a failure onto a response or batch entry: wire status, message
+/// and, for a shed, its retry_after hint.
+template <typename Out>
+void SetFailure(const Status& status, Out* out) {
+  out->status = WireStatusFromCode(status.code());
+  out->message = status.message();
+  const int64_t hint = serving::ParseRetryAfterMs(status);
+  if (hint >= 0) out->retry_after_ms = static_cast<uint32_t>(hint);
+}
+
+/// The deadline a wire budget of `ms` asks for; 0 falls back to
+/// `default_ms`, and 0 there means none.
+Deadline WireDeadline(uint32_t ms, uint32_t default_ms) {
+  if (ms == 0) ms = default_ms;
+  return ms != 0 ? Deadline::After(std::chrono::milliseconds(ms))
+                 : Deadline::Infinite();
+}
+
 }  // namespace
 
 NetServer::NetServer(serving::ServingGroup* group, const Options& options)
@@ -541,13 +559,8 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
   const serving::RequestClass cls = ClassFor(request.type);
   requests_[static_cast<int>(cls)]->Increment();
   const Clock::time_point started = Clock::now();
-  const uint32_t deadline_ms = request.deadline_ms != 0
-                                   ? request.deadline_ms
-                                   : options_.default_deadline_ms;
   const Deadline deadline =
-      deadline_ms != 0
-          ? Deadline::After(std::chrono::milliseconds(deadline_ms))
-          : Deadline::Infinite();
+      WireDeadline(request.deadline_ms, options_.default_deadline_ms);
   // Cheap classes pass the token bucket right here on the loop thread
   // (AdmitCheap never blocks); expensive classes do their full —
   // possibly blocking — admission on a worker.
@@ -574,16 +587,16 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
   pending_.fetch_add(1, std::memory_order_relaxed);
   ++conn->in_flight;
   const uint64_t conn_id = conn->id;
-  if (request.type == MessageType::kExplainRequest &&
-      options_.max_explain_batch > 1) {
-    // Park scalar Explains in the micro-batch queue instead of binding
-    // each to its own worker task: the drain that answers this request
-    // takes every batchmate queued behind it, so a flood's queue depth
-    // becomes batch throughput instead of per-request executions.
+  if (request.type == MessageType::kExplainRequest) {
+    // Park Explains in the micro-batch queue instead of binding each to its
+    // own worker task: the drain that answers this request takes every
+    // batchmate queued behind it, so a flood's queue depth becomes batch
+    // throughput instead of per-request executions.
     {
       std::lock_guard<std::mutex> lock(explain_mu_);
       explain_queue_.push_back(
-          {conn_id, started, deadline, std::move(request)});
+          {conn_id, started, request.request_id,
+           {std::move(request.instance), request.label, deadline}});
     }
     workers_->Submit([this] { DrainExplainQueue(); });
     return;
@@ -600,15 +613,7 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
 void NetServer::DrainExplainQueue() {
   std::vector<PendingExplain> batch;
   {
-    std::unique_lock<std::mutex> lock(explain_mu_);
-    if (explain_queue_.empty()) return;  // a bigger drain already took it
-    if (explain_queue_.size() < options_.max_explain_batch &&
-        options_.explain_batch_linger.count() > 0) {
-      lock.unlock();
-      std::this_thread::sleep_for(options_.explain_batch_linger);
-      lock.lock();
-      if (explain_queue_.empty()) return;
-    }
+    std::lock_guard<std::mutex> lock(explain_mu_);
     const size_t take =
         std::min(std::max<size_t>(1, options_.max_explain_batch),
                  explain_queue_.size());
@@ -618,99 +623,88 @@ void NetServer::DrainExplainQueue() {
       explain_queue_.pop_front();
     }
   }
-  batch_size_->Observe(static_cast<int64_t>(batch.size()));
-  if (batch.size() == 1) {
-    // A lone request runs the classic scalar path: same admission, same
-    // search, no batch overhead.
-    PendingExplain item = std::move(batch.front());
-    Response response = ExecuteRequest(item.request, item.deadline);
-    std::string frame = EncodeResponse(response);
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    PushCompletion({item.conn_id, std::move(frame), item.started});
-    return;
+  if (batch.empty()) return;  // a bigger drain already took it
+  std::vector<serving::BatchQuery> queries;
+  queries.reserve(batch.size());
+  for (PendingExplain& item : batch) queries.push_back(std::move(item.query));
+  std::vector<Response::BatchExplainItem> items;
+  if (!ExplainItems(queries, &items).ok()) {
+    shed_admission_->Add(batch.size());
   }
-  ExecuteExplainBatch(std::move(batch));
-}
-
-void NetServer::ExecuteExplainBatch(std::vector<PendingExplain> batch) {
-  const auto finish = [&](size_t i, Response response) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Response::BatchExplainItem& item = items[i];
+    Response response;
+    response.type = MessageType::kExplainResponse;
+    response.request_id = batch[i].request_id;
+    response.status = item.status;
+    response.retry_after_ms = item.retry_after_ms;
+    response.message = std::move(item.message);
+    response.flags = item.flags;
+    response.achieved_alpha = item.achieved_alpha;
+    response.view_seq = item.view_seq;
+    response.backend = item.backend;
+    response.key = std::move(item.key);
     std::string frame = EncodeResponse(response);
     pending_.fetch_sub(1, std::memory_order_relaxed);
     PushCompletion({batch[i].conn_id, std::move(frame), batch[i].started});
-  };
-  const auto fail_item = [&](size_t i, const Status& status) {
-    Response response;
-    response.type = ResponseTypeFor(batch[i].request.type);
-    response.request_id = batch[i].request.request_id;
-    response.status = WireStatusFromCode(status.code());
-    response.message = status.message();
-    const int64_t hint = serving::ParseRetryAfterMs(status);
-    if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
-    finish(i, std::move(response));
-  };
+  }
+}
+
+Status NetServer::ExplainItems(const std::vector<serving::BatchQuery>& queries,
+                               std::vector<Response::BatchExplainItem>* out) {
+  batch_size_->Observe(static_cast<int64_t>(queries.size()));
+  out->assign(queries.size(), {});
   // One admission charge for the whole batch — it is one execution under
   // one index read lock — bounded by the earliest item deadline so nobody
   // queues past its own budget.
   std::optional<serving::OverloadController::Permit> permit;
   if (controller_ != nullptr) {
-    Deadline admit_deadline = batch.front().deadline;
-    for (const PendingExplain& item : batch) {
-      if (item.deadline.expiry() < admit_deadline.expiry()) {
-        admit_deadline = item.deadline;
-      }
-    }
     auto admitted = controller_->AdmitExpensive(
-        serving::RequestClass::kExplain, admit_deadline);
+        serving::RequestClass::kExplain, serving::EarliestDeadline(queries));
     if (!admitted.ok()) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        shed_admission_->Increment();
-        finish(i, ShedResponse(batch[i].request, admitted.status()));
+      for (Response::BatchExplainItem& item : *out) {
+        SetFailure(admitted.status(), &item);
       }
-      return;
+      return admitted.status();
     }
     permit.emplace(std::move(admitted).value());
   }
   // Deadlines stay per item: an already-expired one answers for itself
-  // and the rest still share the build.
+  // and the rest still run as one batch.
   std::vector<size_t> live;
-  std::vector<serving::BatchQuery> queries;
-  live.reserve(batch.size());
-  queries.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].deadline.expired()) {
-      fail_item(i,
-                Status::DeadlineExceeded("deadline expired before execution"));
+  std::vector<serving::BatchQuery> live_queries;
+  live.reserve(queries.size());
+  live_queries.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].deadline.expired()) {
+      SetFailure(Status::DeadlineExceeded("deadline expired before execution"),
+                 &(*out)[i]);
       continue;
     }
     live.push_back(i);
-    queries.push_back({batch[i].request.instance, batch[i].request.label,
-                       batch[i].deadline});
+    live_queries.push_back(queries[i]);
   }
-  if (live.empty()) return;
+  if (live.empty()) return Status::Ok();
   std::vector<Result<serving::ServingGroup::ExplainResult>> results =
-      group_->ExplainBatch(queries);
+      group_->ExplainBatch(live_queries);
   for (size_t j = 0; j < live.size(); ++j) {
-    const size_t i = live[j];
+    Response::BatchExplainItem& item = (*out)[live[j]];
     if (!results[j].ok()) {
-      fail_item(i, results[j].status());
+      SetFailure(results[j].status(), &item);
       continue;
     }
-    const serving::ServingGroup::ExplainResult& explained =
-        results[j].value();
-    Response response;
-    response.type = ResponseTypeFor(batch[i].request.type);
-    response.request_id = batch[i].request.request_id;
-    response.status = WireStatus::kOk;
-    response.flags = (explained.key.degraded ? kFlagDegraded : 0) |
-                     (explained.key.cached ? kFlagCached : 0) |
-                     (explained.hedged ? kFlagHedged : 0) |
-                     (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-    response.achieved_alpha = explained.key.achieved_alpha;
-    response.view_seq = explained.view_seq;
-    response.backend = static_cast<uint32_t>(explained.backend);
-    response.key = explained.key.key;
-    finish(i, std::move(response));
+    serving::ServingGroup::ExplainResult& explained = results[j].value();
+    item.status = WireStatus::kOk;
+    item.flags = (explained.key.degraded ? kFlagDegraded : 0) |
+                 (explained.key.cached ? kFlagCached : 0) |
+                 (explained.hedged ? kFlagHedged : 0) |
+                 (explained.key.satisfied ? 0 : kFlagUnsatisfied);
+    item.achieved_alpha = explained.key.achieved_alpha;
+    item.view_seq = explained.view_seq;
+    item.backend = static_cast<uint32_t>(explained.backend);
+    item.key = std::move(explained.key.key);
   }
+  return Status::Ok();
 }
 
 Response NetServer::ShedResponse(const Request& request,
@@ -718,10 +712,7 @@ Response NetServer::ShedResponse(const Request& request,
   Response response;
   response.type = ResponseTypeFor(request.type);
   response.request_id = request.request_id;
-  response.status = WireStatusFromCode(shed.code());
-  response.message = shed.message();
-  const int64_t hint = serving::ParseRetryAfterMs(shed);
-  if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
+  SetFailure(shed, &response);
   return response;
 }
 
@@ -731,10 +722,7 @@ Response NetServer::ExecuteRequest(const Request& request,
   response.type = ResponseTypeFor(request.type);
   response.request_id = request.request_id;
   const auto fail = [&](const Status& status) {
-    response.status = WireStatusFromCode(status.code());
-    response.message = status.message();
-    const int64_t hint = serving::ParseRetryAfterMs(status);
-    if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
+    SetFailure(status, &response);
   };
   if (deadline.expired()) {
     fail(Status::DeadlineExceeded("deadline expired before execution"));
@@ -758,12 +746,11 @@ Response NetServer::ExecuteRequest(const Request& request,
       }
       break;
     }
-    case MessageType::kExplainRequest:
     case MessageType::kCounterfactualsRequest: {
-      const serving::RequestClass cls = ClassFor(request.type);
       std::optional<serving::OverloadController::Permit> permit;
       if (controller_ != nullptr) {
-        auto admitted = controller_->AdmitExpensive(cls, deadline);
+        auto admitted = controller_->AdmitExpensive(
+            serving::RequestClass::kCounterfactuals, deadline);
         if (!admitted.ok()) {
           shed_admission_->Increment();
           fail(admitted.status());
@@ -771,108 +758,35 @@ Response NetServer::ExecuteRequest(const Request& request,
         }
         permit.emplace(std::move(admitted).value());
       }
-      if (request.type == MessageType::kExplainRequest) {
-        auto result =
-            group_->Explain(request.instance, request.label, deadline);
-        if (!result.ok()) {
-          fail(result.status());
-          return response;
-        }
-        const serving::ServingGroup::ExplainResult& explained = result.value();
-        response.flags =
-            (explained.key.degraded ? kFlagDegraded : 0) |
-            (explained.key.cached ? kFlagCached : 0) |
-            (explained.hedged ? kFlagHedged : 0) |
-            (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-        response.achieved_alpha = explained.key.achieved_alpha;
-        response.view_seq = explained.view_seq;
-        response.backend = static_cast<uint32_t>(explained.backend);
-        response.key = explained.key.key;
-      } else {
-        auto result = group_->Counterfactuals(request.instance, request.label);
-        if (!result.ok()) {
-          fail(result.status());
-          return response;
-        }
-        response.witnesses.reserve(result.value().size());
-        for (const RelativeCounterfactual& witness : result.value()) {
-          response.witnesses.push_back({witness.witness_row,
-                                        witness.witness_label,
-                                        witness.changed_features});
-        }
+      auto result = group_->Counterfactuals(request.instance, request.label);
+      if (!result.ok()) {
+        fail(result.status());
+        return response;
+      }
+      response.witnesses.reserve(result.value().size());
+      for (const RelativeCounterfactual& witness : result.value()) {
+        response.witnesses.push_back({witness.witness_row,
+                                      witness.witness_label,
+                                      witness.changed_features});
       }
       break;
     }
     case MessageType::kBatchExplainRequest: {
-      // A client-formed batch: one admission charge, one batch
-      // execution, one response frame with per-item statuses.
-      std::vector<Deadline> deadlines;
-      deadlines.reserve(request.batch.size());
-      Deadline admit_deadline = Deadline::Infinite();
-      for (const Request::BatchItem& item : request.batch) {
-        const uint32_t ms = item.deadline_ms != 0
-                                ? item.deadline_ms
-                                : options_.default_deadline_ms;
-        const Deadline item_deadline =
-            ms != 0 ? Deadline::After(std::chrono::milliseconds(ms))
-                    : Deadline::Infinite();
-        if (item_deadline.expiry() < admit_deadline.expiry()) {
-          admit_deadline = item_deadline;
-        }
-        deadlines.push_back(item_deadline);
-      }
-      std::optional<serving::OverloadController::Permit> permit;
-      if (controller_ != nullptr) {
-        auto admitted = controller_->AdmitExpensive(
-            serving::RequestClass::kExplain, admit_deadline);
-        if (!admitted.ok()) {
-          shed_admission_->Increment();
-          fail(admitted.status());
-          return response;
-        }
-        permit.emplace(std::move(admitted).value());
-      }
-      batch_size_->Observe(static_cast<int64_t>(request.batch.size()));
-      response.batch.resize(request.batch.size());
-      std::vector<size_t> live;
+      // A client-formed batch: one execution, one response frame with
+      // per-item statuses.
       std::vector<serving::BatchQuery> queries;
-      live.reserve(request.batch.size());
       queries.reserve(request.batch.size());
-      for (size_t i = 0; i < request.batch.size(); ++i) {
-        if (deadlines[i].expired()) {
-          response.batch[i].status = WireStatus::kDeadlineExceeded;
-          response.batch[i].message = "deadline expired before execution";
-          continue;
-        }
-        live.push_back(i);
-        queries.push_back({request.batch[i].instance,
-                           request.batch[i].label, deadlines[i]});
+      for (const Request::BatchItem& item : request.batch) {
+        queries.push_back(
+            {item.instance, item.label,
+             WireDeadline(item.deadline_ms, options_.default_deadline_ms)});
       }
-      if (!live.empty()) {
-        std::vector<Result<serving::ServingGroup::ExplainResult>> results =
-            group_->ExplainBatch(queries);
-        for (size_t j = 0; j < live.size(); ++j) {
-          Response::BatchExplainItem& item = response.batch[live[j]];
-          if (!results[j].ok()) {
-            const Status& status = results[j].status();
-            item.status = WireStatusFromCode(status.code());
-            item.message = status.message();
-            const int64_t hint = serving::ParseRetryAfterMs(status);
-            if (hint >= 0) item.retry_after_ms = static_cast<uint32_t>(hint);
-            continue;
-          }
-          const serving::ServingGroup::ExplainResult& explained =
-              results[j].value();
-          item.status = WireStatus::kOk;
-          item.flags = (explained.key.degraded ? kFlagDegraded : 0) |
-                       (explained.key.cached ? kFlagCached : 0) |
-                       (explained.hedged ? kFlagHedged : 0) |
-                       (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-          item.achieved_alpha = explained.key.achieved_alpha;
-          item.view_seq = explained.view_seq;
-          item.backend = static_cast<uint32_t>(explained.backend);
-          item.key = explained.key.key;
-        }
+      Status shed = ExplainItems(queries, &response.batch);
+      if (!shed.ok()) {
+        shed_admission_->Increment();
+        response.batch.clear();
+        fail(shed);
+        return response;
       }
       break;
     }

@@ -101,20 +101,16 @@ class NetServer {
     uint32_t default_deadline_ms = 0;
 
     /// Upper bound on Explain items answered by one batch execution
-    /// (docs/operations.md). Queued scalar EXPLAIN_REQUEST frames
-    /// are drained in compatible groups of up to this many and executed
-    /// as one serving::ServingGroup::ExplainBatch — one admission charge,
-    /// one live-index read — so queue depth under a flood becomes batch
-    /// throughput instead of sheds. 1 disables micro-batching (every
-    /// request runs alone, the pre-batching behaviour). BATCH_EXPLAIN
-    /// frames are always executed as the client-formed batch regardless
-    /// of this knob. Keys are bit-identical at any batch split.
+    /// (docs/operations.md). Every EXPLAIN_REQUEST frame waits in the
+    /// micro-batch queue; a worker drains up to this many and executes
+    /// them as one serving::ServingGroup::ExplainBatch — one admission
+    /// charge, one live-index read — so queue depth under a flood becomes
+    /// batch throughput instead of sheds. A drain never waits: it takes
+    /// whatever is queued at that instant, so an idle server adds no
+    /// latency. 1 means every Explain runs as a batch of one. BATCH_EXPLAIN
+    /// frames are always executed as the client-formed batch regardless of
+    /// this knob. Keys are bit-identical at any batch split.
     size_t max_explain_batch = 16;
-    /// How long a drain may wait for more queued Explains before running
-    /// a partial batch. 0 (default) never waits: a drain takes whatever
-    /// is queued at that instant, so an idle server adds no latency and a
-    /// flooded one batches naturally off its own backlog.
-    std::chrono::milliseconds explain_batch_linger{0};
 
     /// How long Stop() lets in-flight work and unflushed responses drain
     /// before closing connections.
@@ -199,13 +195,13 @@ class NetServer {
     std::chrono::steady_clock::time_point started;
   };
 
-  /// One scalar Explain parked in the micro-batch queue between its
+  /// One EXPLAIN_REQUEST parked in the micro-batch queue between its
   /// DispatchRequest and the worker drain that answers it.
   struct PendingExplain {
     uint64_t conn_id = 0;
     std::chrono::steady_clock::time_point started;
-    Deadline deadline;
-    Request request;
+    uint64_t request_id = 0;
+    serving::BatchQuery query;
   };
 
   NetServer(serving::ServingGroup* group, const Options& options);
@@ -221,15 +217,20 @@ class NetServer {
   bool ParseBuffer(Connection* conn);
   void HandleHttp(Connection* conn, const std::string& request_line);
   void DispatchRequest(Connection* conn, Request request);
-  /// Runs on a worker: admission (expensive classes) + group call.
+  /// Runs on a worker: admission (expensive classes) + group call, for
+  /// every request type except EXPLAIN_REQUEST (see DrainExplainQueue).
   Response ExecuteRequest(const Request& request, const Deadline& deadline);
   Response ShedResponse(const Request& request, const Status& shed) const;
   /// Runs on a worker: pops up to max_explain_batch queued Explains and
-  /// answers them as one batch execution (one admission charge).
+  /// answers them through ExplainItems, one completion per item.
   void DrainExplainQueue();
-  /// Executes `batch` (>= 2 items) as one ServingGroup::ExplainBatch and
-  /// pushes one completion per item.
-  void ExecuteExplainBatch(std::vector<PendingExplain> batch);
+  /// The wire's one Explain execution, for micro-batch drains and
+  /// BATCH_EXPLAIN frames alike: one admission charge bounded by the
+  /// earliest deadline, per-item expiry, one ServingGroup::ExplainBatch,
+  /// and one encoded entry per item in `out`. Returns the admission shed
+  /// (every entry then carries it) or OK.
+  Status ExplainItems(const std::vector<serving::BatchQuery>& queries,
+                      std::vector<Response::BatchExplainItem>* out);
 
   void QueueResponse(Connection* conn, const Response& response,
                      std::chrono::steady_clock::time_point started);
@@ -276,9 +277,9 @@ class NetServer {
   std::deque<Completion> completions_;
   std::atomic<size_t> pending_{0};
 
-  /// Scalar-Explain micro-batch queue (loop thread pushes, workers
-  /// drain). Each push submits a drain task; a drain that finds the
-  /// queue already emptied by a bigger batch is a no-op.
+  /// Explain micro-batch queue (loop thread pushes, workers drain). Each
+  /// push submits a drain task; a drain that finds the queue already
+  /// emptied by a bigger batch is a no-op.
   std::mutex explain_mu_;
   std::deque<PendingExplain> explain_queue_;
 

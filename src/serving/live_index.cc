@@ -1,7 +1,6 @@
 #include "serving/live_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <mutex>
 #include <utility>
@@ -12,23 +11,6 @@ namespace cce::serving {
 namespace {
 
 constexpr uint64_t kWordMask = ~uint64_t{63};
-
-Srk::Options SearchOptions(const ReadPath& path, Srk::EngineStats* stats) {
-  Srk::Options options;
-  options.alpha = path.alpha;
-  if (path.parallel_conformity) {
-    options.pool = path.pool;
-    options.stats = stats;
-  }
-  return options;
-}
-
-void ExportShards(const Srk::EngineStats& stats, const ReadPath& path) {
-  const uint64_t shards = stats.shard_tasks.load(std::memory_order_relaxed);
-  if (shards > 0 && path.conformity_shards != nullptr) {
-    path.conformity_shards->Add(shards);
-  }
-}
 
 }  // namespace
 
@@ -121,19 +103,13 @@ size_t LiveIndex::live_rows() const {
   return bits_->live_rows();
 }
 
-Result<KeyResult> LiveIndex::Reader::Search(const Instance& x, Label y,
-                                            const Deadline& deadline,
-                                            const ReadPath& path) const {
-  Srk::EngineStats stats;
-  Srk::Options options = SearchOptions(path, &stats);
-  options.deadline = deadline;
-  Result<KeyResult> key = Srk::ExplainIndexed(*index_->bits_, x, y, options);
-  ExportShards(stats, path);
-  return key;
-}
-
 Result<std::vector<KeyResult>> LiveIndex::Reader::SearchBatch(
-    const std::vector<BatchQuery>& items, const ReadPath& path) const {
+    const std::vector<BatchQuery>& items, const ReadPath& path,
+    bool degraded_view, size_t* deadline_degraded) const {
+  if (rows() == 0) {
+    return Status::FailedPrecondition(
+        "the served window is empty (nothing recorded or shipped yet)");
+  }
   std::vector<Srk::BatchItem> batch;
   batch.reserve(items.size());
   for (const BatchQuery& item : items) {
@@ -142,7 +118,12 @@ Result<std::vector<KeyResult>> LiveIndex::Reader::SearchBatch(
   Srk::EngineStats stats;
   Result<std::vector<KeyResult>> keys = Srk::ExplainIndexedBatch(
       *index_->bits_, batch, SearchOptions(path, &stats));
-  ExportShards(stats, path);
+  ExportEngineStats(stats, path);
+  if (!keys.ok()) return keys;
+  for (KeyResult& key : *keys) {
+    if (key.degraded && deadline_degraded != nullptr) ++*deadline_degraded;
+    if (degraded_view) key.degraded = true;
+  }
   return keys;
 }
 

@@ -25,7 +25,8 @@ namespace cce::serving {
 /// update it in place — the leader's Record (after the WAL append) and
 /// eviction, a replica's catch-up — and Explain only searches it: the
 /// greedy reads value[f][x0[f]] and live & ~label[y0] directly
-/// (Srk::ExplainIndexed), with no merge, copy or per-call bitmap build.
+/// (Srk::ExplainIndexedBatch), with no merge, copy or per-call bitmap
+/// build.
 ///
 /// Keys are bit-identical to Srk::ExplainInstance on the sequence-merged
 /// context, because bit positions ascend with sequence: the live rows in
@@ -74,16 +75,19 @@ class LiveIndex {
     /// Live rows in the window this reader sees.
     size_t rows() const { return index_->bits_->live_rows(); }
 
-    /// Relative key for (x, y) against the window. `path.alpha` is the
-    /// bound; with `path.parallel_conformity` the candidate counts run on
-    /// `path.pool`, and pool fan-out is added to `path.conformity_shards`.
-    Result<KeyResult> Search(const Instance& x, Label y,
-                             const Deadline& deadline,
-                             const ReadPath& path) const;
-
-    /// Search for every item, positionally, with per-item deadlines.
+    /// Keys for every item against this window, positionally, with
+    /// per-item deadlines: the one Explain read of leader and replica, and
+    /// a scalar Explain is a batch of one. kFailedPrecondition when the
+    /// window is empty. `path.alpha` is the bound; with
+    /// `path.parallel_conformity` the counts run on `path.pool` (several
+    /// items across it, or one item's candidate features across it), and
+    /// pool fan-out is added to `path.conformity_shards`. `degraded_view`
+    /// flags every key degraded (the window is incomplete or may be
+    /// stale); `deadline_degraded`, when set, receives the number of keys
+    /// the search itself degraded at their deadline.
     Result<std::vector<KeyResult>> SearchBatch(
-        const std::vector<BatchQuery>& items, const ReadPath& path) const;
+        const std::vector<BatchQuery>& items, const ReadPath& path,
+        bool degraded_view, size_t* deadline_degraded = nullptr) const;
 
    private:
     friend class LiveIndex;

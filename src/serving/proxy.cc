@@ -1,7 +1,9 @@
 #include "serving/proxy.h"
 
 #include <algorithm>
+#include <iterator>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -37,6 +39,18 @@ const char* BreakerStateLabel(CircuitBreaker::State state) {
       return "half_open";
   }
   return "unknown";
+}
+
+/// How far an Explain item got. A batch trace reports its furthest item,
+/// so a batch of one reports exactly that item's outcome.
+int ExplainOutcomeRank(obs::TraceOutcome outcome) {
+  constexpr obs::TraceOutcome kOrder[] = {
+      obs::TraceOutcome::kError, obs::TraceOutcome::kShed,
+      obs::TraceOutcome::kServedCached, obs::TraceOutcome::kServedFull,
+      obs::TraceOutcome::kDegraded};
+  return static_cast<int>(std::find(std::begin(kOrder), std::end(kOrder),
+                                    outcome) -
+                          std::begin(kOrder));
 }
 
 }  // namespace
@@ -127,11 +141,13 @@ void ExplainableProxy::InitInstruments() {
                      "Explains answered from the explanation cache.");
   ins_.batch_executions = reg.GetCounter(
       "cce_batch_executions_total",
-      "ExplainBatch() calls that searched the live index (every item under "
-      "one read-lock acquisition).");
+      "Live-index searches, every item under one read-lock acquisition: "
+      "each Explain() and ExplainBatch() that reached the index, a scalar "
+      "Explain counting as a batch of one.");
   ins_.batch_items = reg.GetCounter(
       "cce_batch_items_total",
-      "Explain items answered through ExplainBatch() index searches.");
+      "Explain items answered by live-index searches (every search, "
+      "including batches of one).");
   ins_.fallback_serves = reg.GetCounter(
       "cce_fallback_serves_total",
       "Explain/Counterfactuals served from context while the breaker was "
@@ -544,15 +560,6 @@ std::vector<ContextShard::Row> ExplainableProxy::MergedRows() const {
   return rows;
 }
 
-ReadPath ExplainableProxy::ExplainReadPath() const {
-  ReadPath path;
-  path.alpha = options_.alpha;
-  path.parallel_conformity = options_.parallel_conformity;
-  path.pool = conformity_pool_.get();
-  path.conformity_shards = ins_.conformity_shards;
-  return path;
-}
-
 uint64_t ExplainableProxy::PublishedSequence() const {
   // Freeze every shard at once (ascending index; the only multi-shard
   // lock acquisition in the proxy, so no ordering cycle is possible).
@@ -704,110 +711,7 @@ Context ExplainableProxy::ContextSnapshot() const {
 
 Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
                                             const Deadline& deadline) const {
-  obs::RequestTrace trace(traces_.get(), "explain");
-  obs::ScopedLatency latency(registry_.get(), ins_.explain_latency_us);
-  ins_.explains->Increment();
-  {
-    auto span = trace.Phase("validate");
-    Status valid = ValidateRequest(x, y, /*check_label=*/true);
-    if (!valid.ok()) {
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError, &valid);
-      return valid;
-    }
-  }
-  // Admission runs outside mu_: a request queued for an explain slot must
-  // never block Predict/Record traffic.
-  std::optional<OverloadController::Permit> permit;
-  if (overload_ != nullptr) {
-    auto span = trace.Phase("admit");
-    auto admitted =
-        overload_->AdmitExpensive(RequestClass::kExplain, deadline);
-    span.End();
-    if (!admitted.ok()) {
-      // Shed — the cached rung of the ladder: a cached key that Get()
-      // just re-proved conformant against the current window is a real
-      // answer, not a stale approximation.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (explain_cache_ != nullptr) {
-        if (auto cached = explain_cache_->Get(x, y)) {
-          ins_.cache_served_explains->Increment();
-          FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
-          return *cached;
-        }
-      }
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kShed,
-                  &admitted.status());
-      return admitted.status();
-    }
-    permit.emplace(std::move(admitted).value());
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Explaining consults only the recorded context (paper Section 6),
-    // so it keeps working when the breaker has taken the model out of
-    // the path — that serve is the "record-only fallback" rung.
-    if (breaker_.state() == CircuitBreaker::State::kOpen) {
-      ins_.fallback_serves->Increment();
-    }
-    // Admitted but under pressure (queued, saturated limiter, CoDel):
-    // prefer the cached key over burning a saturated machine on a
-    // search.
-    if (permit.has_value() && permit->under_pressure() &&
-        explain_cache_ != nullptr) {
-      if (auto cached = explain_cache_->Get(x, y)) {
-        ins_.cache_served_explains->Increment();
-        FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
-        return *cached;
-      }
-    }
-  }
-  // Stamp the delta ring *before* reading the index: any Record that
-  // lands after this read advances the ring past the stamp, and Put()
-  // refuses entries whose window membership is ambiguous — the cache's
-  // exactness gate.
-  const uint64_t cache_stamp =
-      explain_cache_ != nullptr ? explain_cache_->delta_seq() : 0;
-  const bool degraded_context = AnyShardQuarantined();
-  // The key search reads the live index under its read lock and nothing
-  // else: no merge, no copy, no bitmap build, and a Record waits for at
-  // most this one search. The index's positions follow the global
-  // sequence, so the key is the one a 1-shard proxy — or a replica at
-  // the same view — computes.
-  size_t window_rows = 0;
-  Result<KeyResult> key = [&]() -> Result<KeyResult> {
-    auto span = trace.Phase("search");
-    const LiveIndex::Reader view = index_->Read();
-    window_rows = view.rows();
-    if (window_rows == 0) {
-      return Status::FailedPrecondition("no predictions recorded yet");
-    }
-    return view.Search(x, y, deadline, ExplainReadPath());
-  }();
-  if (!key.ok()) {
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError,
-                &key.status());
-    return key;
-  }
-  const bool deadline_degraded = key->degraded;
-  if (degraded_context) {
-    // A quarantined shard means rows are missing from the context; the
-    // key is honest about its provenance.
-    key->degraded = true;
-  }
-  if (key->degraded) {
-    ins_.degraded_explains->Increment();
-    if (deadline_degraded) ins_.deadline_misses->Increment();
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kDegraded);
-  } else {
-    if (explain_cache_ != nullptr) {
-      // Only full (minimised) keys are worth caching: a padded degraded
-      // key served from cache would degrade answers even when idle.
-      std::lock_guard<std::mutex> lock(mu_);
-      explain_cache_->Put(x, y, cache_stamp, window_rows, *key);
-    }
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedFull);
-  }
-  return key;
+  return std::move(ExplainBatch({{x, y, deadline}}).front());
 }
 
 std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
@@ -815,16 +719,31 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
   std::vector<Result<KeyResult>> results(
       items.size(), Result<KeyResult>(Status::Internal("unanswered")));
   if (items.empty()) return results;
-  obs::RequestTrace trace(traces_.get(), "explain_batch");
+  obs::RequestTrace trace(traces_.get(), "explain");
   obs::ScopedLatency latency(registry_.get(), ins_.explain_latency_us);
   ins_.explains->Add(items.size());
-  // Per-item request accounting: the batch is a transport optimization,
-  // not a new entry point, so each item lands in the same
-  // cce_requests_total{op="explain"} matrix a serial Explain would.
-  auto count_item = [&](obs::TraceOutcome outcome) {
+  // Every item lands in cce_requests_total{op="explain"} on its own. The
+  // trace carries the furthest outcome any item reached — for a batch of
+  // one, exactly that item's — and the first failure, if any, as detail.
+  obs::TraceOutcome outcome = obs::TraceOutcome::kError;
+  std::optional<Status> failure;
+  auto answer = [&](size_t i, obs::TraceOutcome item_outcome,
+                    Result<KeyResult> result) {
     ins_.requests[static_cast<int>(Op::kExplain)]
-                 [static_cast<int>(outcome) - 1]
+                 [static_cast<int>(item_outcome) - 1]
         ->Increment();
+    if (ExplainOutcomeRank(item_outcome) > ExplainOutcomeRank(outcome)) {
+      outcome = item_outcome;
+    }
+    if (!result.ok() && !failure.has_value()) failure = result.status();
+    results[i] = std::move(result);
+  };
+  auto finish = [&] {
+    trace.set_outcome(outcome);
+    if (failure.has_value() && trace.active()) {
+      trace.set_detail(failure->message());
+    }
+    return std::move(results);
   };
   // Validate every item individually — one malformed instance must not
   // poison its batchmates.
@@ -838,130 +757,121 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       if (valid.ok()) {
         live.push_back(i);
       } else {
-        count_item(obs::TraceOutcome::kError);
-        results[i] = std::move(valid);
+        answer(i, obs::TraceOutcome::kError, std::move(valid));
       }
     }
   }
-  if (live.empty()) {
-    trace.set_outcome(obs::TraceOutcome::kError);
-    return results;
-  }
-  // Serve item `i` from the cache if a generation-fresh entry exists;
-  // caller holds mu_. Returns false when the item still needs a search.
+  if (live.empty()) return finish();
+  // The cached rung: a key that Get() just re-proved conformant against
+  // the current window is a real answer, not a stale approximation.
+  // Caller holds mu_; false when item `i` still needs a search.
   auto serve_cached_locked = [&](size_t i) {
     if (explain_cache_ == nullptr) return false;
     auto cached = explain_cache_->Get(items[i].x, items[i].y);
     if (!cached.has_value()) return false;
     ins_.cache_served_explains->Increment();
-    count_item(obs::TraceOutcome::kServedCached);
-    results[i] = *std::move(cached);
+    answer(i, obs::TraceOutcome::kServedCached, *std::move(cached));
     return true;
   };
-  // One admission charge for the whole batch: it is one execution under
-  // one index read lock. The earliest finite deadline bounds the queue
-  // wait so no item waits past its own budget just to be admitted.
+  // One admission charge for the whole batch, outside mu_ (a request
+  // queued for an explain slot must never block Predict/Record): it is
+  // one execution under one index read lock. The earliest deadline bounds
+  // the queue wait so no item waits past its own budget to be admitted.
   std::optional<OverloadController::Permit> permit;
   if (overload_ != nullptr) {
-    Deadline admit_deadline = items[live.front()].deadline;
-    for (size_t i : live) {
-      if (items[i].deadline.expiry() < admit_deadline.expiry()) {
-        admit_deadline = items[i].deadline;
-      }
-    }
     auto span = trace.Phase("admit");
-    auto admitted =
-        overload_->AdmitExpensive(RequestClass::kExplain, admit_deadline);
+    auto admitted = overload_->AdmitExpensive(RequestClass::kExplain,
+                                              EarliestDeadline(items));
     span.End();
     if (!admitted.ok()) {
-      // Shed: each item falls back to the cached rung individually; the
-      // ones without a fresh entry are shed with the controller's
-      // retry_after hint.
+      // Shed: each item falls back to the cached rung on its own; the ones
+      // without a fresh entry carry the controller's retry_after hint.
       std::lock_guard<std::mutex> lock(mu_);
       for (size_t i : live) {
-        if (serve_cached_locked(i)) continue;
-        count_item(obs::TraceOutcome::kShed);
-        results[i] = admitted.status();
+        if (!serve_cached_locked(i)) {
+          answer(i, obs::TraceOutcome::kShed, admitted.status());
+        }
       }
-      trace.set_outcome(obs::TraceOutcome::kShed);
-      return results;
+      return finish();
     }
     permit.emplace(std::move(admitted).value());
   }
+  std::vector<BatchQuery> batch;
   std::vector<size_t> pending;
+  batch.reserve(live.size());
   pending.reserve(live.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Explaining consults only the recorded context (paper Section 6), so
+    // it keeps working while the breaker has taken the model out of the
+    // path — that serve is the "record-only fallback" rung.
     if (breaker_.state() == CircuitBreaker::State::kOpen) {
       ins_.fallback_serves->Increment();
     }
-    // Under pressure, items with a fresh cached key skip the search;
-    // only the remainder reads the index.
+    // Admitted but under pressure (queued, saturated limiter, CoDel):
+    // items with a fresh cached key skip the search.
     const bool under_pressure =
         permit.has_value() && permit->under_pressure();
     for (size_t i : live) {
       if (under_pressure && serve_cached_locked(i)) continue;
       pending.push_back(i);
+      batch.push_back(items[i]);
     }
   }
-  if (pending.empty()) {
-    trace.set_outcome(obs::TraceOutcome::kServedCached);
-    return results;
-  }
+  if (pending.empty()) return finish();
+  // Stamp the delta ring *before* reading the index: any Record that lands
+  // after this read advances the ring past the stamp, and Put() refuses
+  // entries whose window membership is ambiguous — the cache's exactness
+  // gate.
   const uint64_t cache_stamp =
       explain_cache_ != nullptr ? explain_cache_->delta_seq() : 0;
+  // A quarantined shard means rows are missing from the context; every
+  // key is honest about its provenance.
   const bool degraded_context = AnyShardQuarantined();
-  std::vector<BatchQuery> batch;
-  batch.reserve(pending.size());
-  for (size_t i : pending) batch.push_back(items[i]);
   // One read-lock acquisition for the whole batch, released before the
-  // next batch: every item sees the same window, and a Record waits for
-  // at most this batch.
+  // next: every item sees the same window — the one a 1-shard proxy or a
+  // replica at the same view searches — and a Record waits for at most
+  // this batch.
   size_t window_rows = 0;
-  Result<std::vector<KeyResult>> keys =
-      [&]() -> Result<std::vector<KeyResult>> {
+  size_t deadline_misses = 0;
+  Result<std::vector<KeyResult>> keys = [&] {
     auto span = trace.Phase("search");
     const LiveIndex::Reader view = index_->Read();
     window_rows = view.rows();
-    if (window_rows == 0) {
-      return Status::FailedPrecondition("no predictions recorded yet");
-    }
-    return view.SearchBatch(batch, ExplainReadPath());
+    const ReadPath path{.alpha = options_.alpha,
+                        .parallel_conformity = options_.parallel_conformity,
+                        .pool = conformity_pool_.get(),
+                        .conformity_shards = ins_.conformity_shards};
+    return view.SearchBatch(batch, path, degraded_context, &deadline_misses);
   }();
   if (!keys.ok()) {
     for (size_t i : pending) {
-      count_item(obs::TraceOutcome::kError);
-      results[i] = keys.status();
+      answer(i, obs::TraceOutcome::kError, keys.status());
     }
-    trace.set_outcome(obs::TraceOutcome::kError);
-    return results;
+    return finish();
   }
   ins_.batch_executions->Increment();
   ins_.batch_items->Add(pending.size());
-  bool any_degraded = false;
-  std::lock_guard<std::mutex> lock(mu_);
+  ins_.deadline_misses->Add(deadline_misses);
+  // Only full (minimised) keys are worth caching: a padded degraded key
+  // served from cache would degrade answers even when idle.
+  std::unique_lock<std::mutex> cache_lock(mu_, std::defer_lock);
+  if (explain_cache_ != nullptr) cache_lock.lock();
   for (size_t j = 0; j < pending.size(); ++j) {
     const size_t i = pending[j];
-    KeyResult key = std::move((*keys)[j]);
-    const bool deadline_degraded = key.degraded;
-    if (degraded_context) key.degraded = true;
+    KeyResult& key = (*keys)[j];
     if (key.degraded) {
-      any_degraded = true;
       ins_.degraded_explains->Increment();
-      if (deadline_degraded) ins_.deadline_misses->Increment();
-      count_item(obs::TraceOutcome::kDegraded);
-    } else {
-      if (explain_cache_ != nullptr) {
-        explain_cache_->Put(items[i].x, items[i].y, cache_stamp,
-                            window_rows, key);
-      }
-      count_item(obs::TraceOutcome::kServedFull);
+      answer(i, obs::TraceOutcome::kDegraded, std::move(key));
+      continue;
     }
-    results[i] = std::move(key);
+    if (explain_cache_ != nullptr) {
+      explain_cache_->Put(items[i].x, items[i].y, cache_stamp, window_rows,
+                          key);
+    }
+    answer(i, obs::TraceOutcome::kServedFull, std::move(key));
   }
-  trace.set_outcome(any_degraded ? obs::TraceOutcome::kDegraded
-                                 : obs::TraceOutcome::kServedFull);
-  return results;
+  return finish();
 }
 
 Result<std::vector<RelativeCounterfactual>>

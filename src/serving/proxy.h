@@ -98,10 +98,11 @@ namespace cce::serving {
 /// is serialised by an internal mutex (the breaker counts consecutive
 /// *operations*, which only means anything serialised). Record takes its
 /// target shard's lock, appends to the WAL, then updates the live index
-/// under the index's write lock (lock order shard -> index). Explain and
-/// ExplainBatch search the index under one read-lock acquisition per call
-/// or batch; the lock gives waiting writers priority, so a Record waits
-/// for at most the searches already running, never across batches.
+/// under the index's write lock (lock order shard -> index). Explain is
+/// ExplainBatch with one item, and a batch searches the index under one
+/// read-lock acquisition; the lock gives waiting writers priority, so a
+/// Record waits for at most the searches already running, never across
+/// batches.
 /// Counterfactuals copies the sequence-merged context under the shard
 /// locks and searches outside them.
 class ExplainableProxy {
@@ -237,19 +238,22 @@ class ExplainableProxy {
   /// on expiry the result is valid but `degraded` (non-minimal key). The
   /// key is also flagged `degraded` when any shard is quarantined: the
   /// answer is honest about being computed from an incomplete context.
+  /// A batch of one: ExplainBatch({{x, y, deadline}})[0].
   Result<KeyResult> Explain(const Instance& x, Label y,
                             const Deadline& deadline = {}) const;
 
   /// Explains a batch of recorded (instance, prediction) pairs against ONE
-  /// window: every item is searched on the live index under a single
-  /// read-lock acquisition. Results are positional — result i answers
-  /// items[i] — and every key is bit-identical to what a serial Explain of
-  /// that item against the same window would return, at any pool width
-  /// and any batch split. Admission is charged once for the whole batch;
-  /// per-item deadlines still apply individually inside the key search, so
-  /// one slow item degrades only itself. On shed, items are answered from
-  /// the explain cache where a generation-fresh entry exists and shed
-  /// individually otherwise.
+  /// window: the proxy's only Explain ladder (validate -> admit -> cached
+  /// rung -> index search -> degraded tag). Every item is searched on the
+  /// live index under a single read-lock acquisition. Results are
+  /// positional — result i answers items[i] — and every key is
+  /// bit-identical to that item's key in any other batch split against
+  /// the same window, at any pool width. Admission is charged once for the
+  /// whole batch; per-item deadlines still apply individually inside the
+  /// key search, so one slow item degrades only itself. On shed, items are
+  /// answered from the explain cache where a generation-fresh entry exists
+  /// and shed individually otherwise. The trace (op "explain") reports the
+  /// furthest outcome any item reached and the first failure.
   std::vector<Result<KeyResult>> ExplainBatch(
       const std::vector<BatchQuery>& items) const;
 
@@ -356,10 +360,6 @@ class ExplainableProxy {
   /// All shard rows merged into global arrival order (the index build at
   /// start-up, ContextSnapshot and Counterfactuals).
   std::vector<ContextShard::Row> MergedRows() const;
-
-  /// The proxy's key-search configuration for the live index (replicas
-  /// build the same structure, which is the bit-identical-keys contract).
-  ReadPath ExplainReadPath() const;
 
   /// True when any shard is quarantined (Explain's degraded-context flag).
   bool AnyShardQuarantined() const;

@@ -11,6 +11,7 @@
 #include "core/counterfactual.h"
 #include "core/dataset.h"
 #include "core/key_result.h"
+#include "core/srk.h"
 #include "obs/metrics.h"
 #include "serving/context_shard.h"
 
@@ -37,16 +38,17 @@ struct ReadPath {
   obs::Counter* conformity_shards = nullptr;
 };
 
+/// Srk options for `path`: its alpha, plus its pool and `stats` when
+/// parallel_conformity is set.
+Srk::Options SearchOptions(const ReadPath& path, Srk::EngineStats* stats);
+
+/// Adds an engine's counters to the path's sinks.
+void ExportEngineStats(const Srk::EngineStats& stats, const ReadPath& path);
+
 /// Builds the search context from rows already merged into global
 /// sequence order (the caller sorts; this only materializes).
 Context MaterializeContext(std::shared_ptr<const Schema> schema,
                            const std::vector<ContextShard::Row>& rows);
-
-/// Relative key for (x, y) against `context` under `path`'s engine
-/// configuration; exports engine stats into the path's counter sinks.
-Result<KeyResult> SearchKey(const Context& context, const Instance& x,
-                            Label y, const Deadline& deadline,
-                            const ReadPath& path);
 
 /// One item of a batched key search: (x, y) plus that item's own deadline.
 struct BatchQuery {
@@ -55,12 +57,23 @@ struct BatchQuery {
   Deadline deadline;
 };
 
-/// Batched SearchKey: every item is scored against one shared bitmap build
-/// over `context` (Srk::ExplainBatch), with keys bit-identical to running
-/// SearchKey per item. Results are positional: result i answers item i.
+/// The earliest item deadline: the bound on anything a batch waits for as
+/// a whole (admission, a hedge's head start).
+Deadline EarliestDeadline(const std::vector<BatchQuery>& items);
+
+/// Relative keys for every item against `context` under `path`'s engine
+/// configuration (Srk::ExplainBatch: one shared bitmap build on the bitset
+/// engine), with keys bit-identical to searching each item alone. Results
+/// are positional: result i answers item i. Exports engine stats into the
+/// path's counter sinks.
 Result<std::vector<KeyResult>> SearchKeyBatch(
     const Context& context, const std::vector<BatchQuery>& items,
     const ReadPath& path);
+
+/// SearchKeyBatch of one item.
+Result<KeyResult> SearchKey(const Context& context, const Instance& x,
+                            Label y, const Deadline& deadline,
+                            const ReadPath& path);
 
 /// Closest counterfactual witnesses for (x, y) against `context`.
 Result<std::vector<RelativeCounterfactual>> SearchCounterfactuals(

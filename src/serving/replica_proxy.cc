@@ -581,21 +581,31 @@ bool ReplicaProxy::DegradedLocked() const {
   return false;
 }
 
-ReadPath ReplicaProxy::ExplainReadPath() const {
-  ReadPath path;
-  path.alpha = options_.alpha;
-  path.parallel_conformity = options_.parallel_conformity;
-  path.pool = conformity_pool_.get();
-  path.conformity_shards = conformity_shards_;
-  return path;
-}
-
 Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
                                         const Deadline& deadline) const {
+  return std::move(ExplainBatch({{x, y, deadline}}).front());
+}
+
+std::vector<Result<KeyResult>> ReplicaProxy::ExplainBatch(
+    const std::vector<BatchQuery>& items) const {
+  std::vector<Result<KeyResult>> results(
+      items.size(), Result<KeyResult>(Status::Internal("unanswered")));
+  if (items.empty()) return results;
   obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
-  explains_->Increment();
-  CCE_RETURN_IF_ERROR(schema_->ValidateInstance(x));
-  CCE_RETURN_IF_ERROR(schema_->ValidateLabel(y));
+  explains_->Add(items.size());
+  std::vector<size_t> pending;
+  std::vector<BatchQuery> batch;
+  for (size_t i = 0; i < items.size(); ++i) {
+    Status valid = schema_->ValidateInstance(items[i].x);
+    if (valid.ok()) valid = schema_->ValidateLabel(items[i].y);
+    if (!valid.ok()) {
+      results[i] = std::move(valid);
+      continue;
+    }
+    pending.push_back(i);
+    batch.push_back(items[i]);
+  }
+  if (pending.empty()) return results;
   // The read lock is taken under mu_, so the window and the degraded flag
   // describe the same view; index writers hold mu_, so it is granted at
   // once. The search itself runs outside mu_.
@@ -608,19 +618,20 @@ Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
     view.emplace(index->Read());
     degraded = DegradedLocked();
   }
-  if (view->rows() == 0) {
-    return Status::FailedPrecondition(
-        "replica view is empty (leader has not shipped, or the view "
-        "watermark is 0)");
+  // A quarantined tail or failing manifest means the view may be stale;
+  // the keys are still exactly right for published_seq(), and honest
+  // about the replication path being degraded.
+  const ReadPath path{.alpha = options_.alpha,
+                      .parallel_conformity = options_.parallel_conformity,
+                      .pool = conformity_pool_.get(),
+                      .conformity_shards = conformity_shards_};
+  Result<std::vector<KeyResult>> keys =
+      view->SearchBatch(batch, path, degraded);
+  for (size_t j = 0; j < pending.size(); ++j) {
+    results[pending[j]] = keys.ok() ? Result<KeyResult>(std::move((*keys)[j]))
+                                    : Result<KeyResult>(keys.status());
   }
-  Result<KeyResult> key = view->Search(x, y, deadline, ExplainReadPath());
-  if (key.ok() && degraded) {
-    // A quarantined tail or failing manifest means the view may be
-    // stale; the key is still exactly right for published_seq(), and
-    // honest about the replication path being degraded.
-    key->degraded = true;
-  }
-  return key;
+  return results;
 }
 
 Result<std::vector<RelativeCounterfactual>> ReplicaProxy::Counterfactuals(

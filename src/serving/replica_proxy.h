@@ -62,9 +62,9 @@ namespace cce::serving {
 /// off to the side and swaps it in.
 ///
 /// Thread safety: all public methods may be called concurrently. CatchUp,
-/// Scrub and ForceResync serialise on an internal catch-up mutex; Explain
-/// takes the index's read lock under a short state lock and searches
-/// outside the state lock.
+/// Scrub and ForceResync serialise on an internal catch-up mutex; an
+/// Explain batch (a scalar Explain is a batch of one) takes the index's
+/// read lock under a short state lock and searches outside the state lock.
 class ReplicaProxy {
  public:
   struct Options {
@@ -178,8 +178,17 @@ class ReplicaProxy {
   /// sequence; `degraded` is true when the view is behind a quarantined
   /// or failing replication path. kFailedPrecondition while the view is
   /// empty.
+  /// A batch of one: ExplainBatch({{x, y, deadline}})[0].
   Result<KeyResult> Explain(const Instance& x, Label y,
                             const Deadline& deadline = {}) const;
+
+  /// Explains every item against ONE view, positionally, with per-item
+  /// deadlines: all items are searched under a single live-index read
+  /// lock, through the same LiveIndex::Reader::SearchBatch as the leader,
+  /// so each key is bit-identical to the leader's at the same published
+  /// sequence. A malformed item fails alone with kInvalidArgument.
+  std::vector<Result<KeyResult>> ExplainBatch(
+      const std::vector<BatchQuery>& items) const;
 
   /// Closest counterfactual witnesses from the current view.
   Result<std::vector<RelativeCounterfactual>> Counterfactuals(
@@ -265,7 +274,6 @@ class ReplicaProxy {
   /// Copies the served view (seq < view watermark, capacity-windowed).
   std::vector<ContextShard::Row> ViewRows() const;
   Status CatchUpLocked();
-  ReadPath ExplainReadPath() const;
   /// Lazily creates the per-shard tail-quarantined gauge.
   obs::Gauge* TailGauge(size_t shard) const;
 

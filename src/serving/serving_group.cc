@@ -1,8 +1,10 @@
 #include "serving/serving_group.h"
 
 #include <algorithm>
+#include <iterator>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,15 +24,30 @@ const char* RoutePolicyName(RoutePolicy policy) {
 }
 
 /// Rendezvous between the caller and its hedge-pool tasks: each task fills
-/// its slot and signals; the caller waits for an acceptable answer or for
-/// every submitted attempt. Heap-allocated and shared so a losing task that
-/// outlives the caller still has somewhere safe to write.
+/// its slot and signals; the caller waits until every item has an
+/// acceptable answer or every submitted attempt is done. Heap-allocated and
+/// shared so a losing task that outlives the caller still has somewhere
+/// safe to write.
 struct ServingGroup::HedgeState {
   std::mutex mu;
   std::condition_variable cv;
   Attempt attempts[2];
   int completed = 0;
 };
+
+namespace {
+
+/// A served batch's trace outcome is its worst item's.
+int OutcomeSeverity(obs::TraceOutcome outcome) {
+  constexpr obs::TraceOutcome kOrder[] = {obs::TraceOutcome::kServedFull,
+                                          obs::TraceOutcome::kRetried,
+                                          obs::TraceOutcome::kDegraded};
+  return static_cast<int>(std::find(std::begin(kOrder), std::end(kOrder),
+                                    outcome) -
+                          std::begin(kOrder));
+}
+
+}  // namespace
 
 Result<std::unique_ptr<ServingGroup>> ServingGroup::Create(
     ExplainableProxy* leader, std::vector<ReplicaProxy*> replicas,
@@ -95,7 +112,8 @@ void ServingGroup::InitInstruments() {
       "delay.");
   hedge_wins_ = reg.GetCounter(
       "cce_group_hedge_wins_total",
-      "Hedged Explains where the hedge request's answer was served.");
+      "Hedged Explains where the hedge request's answer was served (for at "
+      "least one item of a batch).");
   failovers_ = reg.GetCounter(
       "cce_group_failovers_total",
       "Read dispatches that skipped past a broken or failing backend.");
@@ -224,9 +242,8 @@ void ServingGroup::RecordOutcome(size_t index, const Status& status,
   }
 }
 
-ServingGroup::Attempt ServingGroup::CallBackend(size_t index,
-                                                const Instance& x, Label y,
-                                                const Deadline& deadline) {
+ServingGroup::Attempt ServingGroup::Dispatch(
+    size_t index, const std::vector<BatchQuery>& items) {
   Attempt attempt;
   attempt.backend = index;
   // Sample the backend's watermark on both sides of the call and report the
@@ -235,17 +252,31 @@ ServingGroup::Attempt ServingGroup::CallBackend(size_t index,
   const uint64_t before = BackendSeq(index);
   const auto start = registry_->now();
   if (options_.explain_interceptor) options_.explain_interceptor(index);
-  Result<KeyResult> result =
-      index == 0 ? leader_->Explain(x, y, deadline)
-                 : backends_[index].replica->Explain(x, y, deadline);
+  attempt.keys = index == 0 ? leader_->ExplainBatch(items)
+                            : backends_[index].replica->ExplainBatch(items);
   const int64_t micros =
       std::chrono::duration_cast<std::chrono::microseconds>(registry_->now() -
                                                             start)
           .count();
-  const uint64_t after = BackendSeq(index);
-  attempt.view_seq = std::min(before, after);
-  RecordOutcome(index, result.status(), micros);
-  attempt.result = std::move(result);
+  attempt.view_seq = std::min(before, BackendSeq(index));
+  // One breaker verdict per dispatch: any served item is a success, a
+  // backend failure with nothing served is a failure, and client errors
+  // (kInvalidArgument) count neither way — not even when every item is one.
+  Status verdict = Status::InvalidArgument("every item was malformed");
+  for (const Result<KeyResult>& key : attempt.keys) {
+    if (key.ok()) {
+      verdict = Status::Ok();
+      break;
+    }
+    if (key.status().code() != StatusCode::kInvalidArgument &&
+        verdict.code() == StatusCode::kInvalidArgument) {
+      verdict = key.status();
+    }
+  }
+  RecordOutcome(index, verdict, micros);
+  if (verdict.code() != StatusCode::kInvalidArgument) {
+    attempt.failure = verdict;
+  }
   attempt.done = true;
   return attempt;
 }
@@ -272,60 +303,92 @@ std::chrono::milliseconds ServingGroup::HedgeDelay(size_t primary,
 }
 
 void ServingGroup::ApplyFence(Attempt* attempt, uint64_t fence_seq,
-                              bool hedged) {
-  if (!attempt->result.ok()) return;
-  KeyResult& key = attempt->result.value();
-  if (key.degraded) return;
-  const bool behind_fence = hedged && attempt->view_seq < fence_seq;
+                              bool secondary) {
+  const bool behind_fence = secondary && attempt->view_seq < fence_seq;
   const bool behind_floor =
       attempt->view_seq < served_floor_.load(std::memory_order_relaxed);
-  if (behind_fence || behind_floor) {
+  if (!behind_fence && !behind_floor) return;
+  for (Result<KeyResult>& key : attempt->keys) {
+    if (!key.ok() || key->degraded) continue;
     // The key is still valid for the view it was computed from — it just
     // may not be the key the fence promised, so it serves flagged.
-    key.degraded = true;
+    key->degraded = true;
     if (behind_fence) stale_hedge_rejects_->Increment();
   }
 }
 
-Result<ServingGroup::ExplainResult> ServingGroup::FinishExplain(
-    obs::RequestTrace& trace, Attempt attempt, bool hedged, bool hedge_won) {
-  if (!attempt.result.ok()) {
-    errors_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kError);
-    trace.set_detail(attempt.result.status().ToString());
-    return attempt.result.status();
+std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::Serve(
+    obs::RequestTrace& trace, size_t items, Attempt& primary,
+    Attempt* secondary, bool fired_as_hedge) {
+  std::vector<Result<ExplainResult>> results;
+  results.reserve(items);
+  obs::TraceOutcome outcome = obs::TraceOutcome::kServedFull;
+  std::optional<Status> failure;
+  auto note = [&](obs::TraceOutcome item_outcome) {
+    if (OutcomeSeverity(item_outcome) > OutcomeSeverity(outcome)) {
+      outcome = item_outcome;
+    }
+  };
+  bool hedge_won = false;
+  for (size_t i = 0; i < items; ++i) {
+    const bool hedged =
+        secondary != nullptr && secondary->Quality(i) > primary.Quality(i);
+    Attempt& from = hedged ? *secondary : primary;
+    Result<KeyResult>& key = from.keys[i];
+    if (!key.ok()) {
+      errors_->Increment();
+      note(obs::TraceOutcome::kError);
+      if (!failure.has_value()) failure = key.status();
+      results.push_back(key.status());
+      continue;
+    }
+    ExplainResult out;
+    out.key = std::move(key).value();
+    out.backend = from.backend;
+    out.view_seq = from.view_seq;
+    out.hedged = hedged;
+    hedge_won = hedge_won || (hedged && fired_as_hedge);
+    if (out.key.degraded) {
+      degraded_serves_->Increment();
+      note(obs::TraceOutcome::kDegraded);
+    } else {
+      uint64_t floor = served_floor_.load(std::memory_order_relaxed);
+      while (floor < out.view_seq &&
+             !served_floor_.compare_exchange_weak(floor, out.view_seq,
+                                                  std::memory_order_relaxed)) {
+      }
+      note(hedged ? obs::TraceOutcome::kRetried
+                  : obs::TraceOutcome::kServedFull);
+    }
+    results.push_back(std::move(out));
   }
   if (hedge_won) hedge_wins_->Increment();
-  ExplainResult out;
-  out.key = std::move(attempt.result.value());
-  out.backend = attempt.backend;
-  out.view_seq = attempt.view_seq;
-  out.hedged = hedged;
-  if (out.key.degraded) {
-    degraded_serves_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kDegraded);
-  } else {
-    uint64_t floor = served_floor_.load(std::memory_order_relaxed);
-    while (floor < out.view_seq &&
-           !served_floor_.compare_exchange_weak(floor, out.view_seq,
-                                                std::memory_order_relaxed)) {
-    }
-    trace.set_outcome(hedged ? obs::TraceOutcome::kRetried
-                             : obs::TraceOutcome::kServedFull);
-  }
-  return out;
+  trace.set_outcome(outcome);
+  if (failure.has_value()) trace.set_detail(failure->ToString());
+  return results;
 }
 
 Result<ServingGroup::ExplainResult> ServingGroup::Explain(
     const Instance& x, Label y, const Deadline& deadline) {
+  return std::move(ExplainBatch({{x, y, deadline}}).front());
+}
+
+std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
+    const std::vector<BatchQuery>& items) {
+  if (items.empty()) return {};
   obs::RequestTrace trace(traces_.get(), "group_explain");
   obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
+  // Nothing was served: every item fails with `status`.
+  auto fail_all = [&](obs::TraceOutcome outcome, const Status& status) {
+    errors_->Add(items.size());
+    trace.set_outcome(outcome);
+    trace.set_detail(status.ToString());
+    return std::vector<Result<ExplainResult>>(items.size(), status);
+  };
   const std::vector<size_t> order = RouteOrder();
   if (order.empty()) {
-    errors_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kBroke);
-    trace.set_detail("no routable backend");
-    return Status::Unavailable("serving group: no routable backend");
+    return fail_all(obs::TraceOutcome::kBroke,
+                    Status::Unavailable("serving group: no routable backend"));
   }
   // The fence: the freshest view the preferred backend promised at entry.
   // No secondary answer may serve non-degraded from behind it.
@@ -335,273 +398,98 @@ Result<ServingGroup::ExplainResult> ServingGroup::Explain(
                          policy() != RoutePolicy::kLeaderOnly &&
                          order.size() > 1;
   if (!can_hedge) {
-    // Synchronous sequential failover down the route order.
+    // Synchronous sequential failover down the route order: the first
+    // backend that serves any item answers the whole batch.
     Status last = Status::Unavailable("serving group: all breakers open");
     for (size_t pos = 0; pos < order.size(); ++pos) {
-      const size_t index = order[pos];
-      if (!AdmitBackend(index)) {
-        if (pos + 1 < order.size()) failovers_->Increment();
-        continue;
+      if (AdmitBackend(order[pos])) {
+        Attempt attempt = Dispatch(order[pos], items);
+        if (attempt.failure.ok()) {
+          ApplyFence(&attempt, fence_seq, /*secondary=*/pos > 0);
+          return Serve(trace, items.size(), attempt, nullptr, false);
+        }
+        last = attempt.failure;
       }
-      Attempt attempt = CallBackend(index, x, y, deadline);
-      if (attempt.result.ok() ||
-          attempt.result.status().code() == StatusCode::kInvalidArgument) {
-        ApplyFence(&attempt, fence_seq, /*hedged=*/pos > 0);
-        return FinishExplain(trace, std::move(attempt), /*hedged=*/false,
-                             /*hedge_won=*/false);
-      }
-      last = attempt.result.status();
       if (pos + 1 < order.size()) failovers_->Increment();
     }
-    errors_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kError);
-    trace.set_detail(last.ToString());
-    return last;
+    return fail_all(obs::TraceOutcome::kError, last);
   }
 
+  size_t pos = 0;
+  while (pos < order.size() && !AdmitBackend(order[pos])) {
+    failovers_->Increment();
+    ++pos;
+  }
+  if (pos == order.size()) {
+    return fail_all(obs::TraceOutcome::kBroke,
+                    Status::Unavailable("serving group: all breakers open"));
+  }
+  const bool primary_is_preferred = pos == 0;
   auto state = std::make_shared<HedgeState>();
+  auto shared_items = std::make_shared<const std::vector<BatchQuery>>(items);
   auto submit = [&](int slot, size_t index) {
-    hedge_pool_->Submit([this, state, slot, index, x, y, deadline] {
-      Attempt attempt = CallBackend(index, x, y, deadline);
+    hedge_pool_->Submit([this, state, shared_items, slot, index] {
+      Attempt attempt = Dispatch(index, *shared_items);
       std::lock_guard<std::mutex> lock(state->mu);
       state->attempts[slot] = std::move(attempt);
       ++state->completed;
       state->cv.notify_all();
     });
   };
-
-  size_t primary_pos = 0;
-  while (primary_pos < order.size() && !AdmitBackend(order[primary_pos])) {
-    failovers_->Increment();
-    ++primary_pos;
-  }
-  if (primary_pos == order.size()) {
-    errors_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kBroke);
-    trace.set_detail("all breakers open");
-    return Status::Unavailable("serving group: all breakers open");
-  }
-  const size_t primary = order[primary_pos];
-  const bool primary_is_preferred = primary_pos == 0;
-  submit(0, primary);
-
-  // Give the primary its head start.
-  const std::chrono::milliseconds delay = HedgeDelay(primary, deadline);
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait_for(lock, delay,
-                       [&] { return state->attempts[0].done; });
-  }
-
-  bool primary_done = false;
-  bool primary_acceptable = false;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    Attempt& attempt = state->attempts[0];
-    primary_done = attempt.done;
-    if (primary_done && attempt.result.ok()) {
-      ApplyFence(&attempt, fence_seq, /*hedged=*/!primary_is_preferred);
-      primary_acceptable = !attempt.result.value().degraded;
-    }
-  }
-  if (primary_done && primary_acceptable) {
-    Attempt chosen;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      chosen = state->attempts[0];
-    }
-    return FinishExplain(trace, std::move(chosen), /*hedged=*/false,
-                         /*hedge_won=*/false);
-  }
-
-  // The primary is slow (hedge) or already failed/degraded (failover):
-  // fire the same request at the next admissible backend.
-  bool hedge_submitted = false;
-  bool fired_as_hedge = false;
-  for (size_t pos = primary_pos + 1; pos < order.size(); ++pos) {
-    if (!AdmitBackend(order[pos])) {
-      failovers_->Increment();
-      continue;
-    }
-    hedge_submitted = true;
-    fired_as_hedge = !primary_done;
-    if (fired_as_hedge) {
-      hedges_->Increment();
-    } else {
-      failovers_->Increment();
-    }
-    submit(1, order[pos]);
-    break;
-  }
-
-  // Wait for an acceptable answer, or for every submitted attempt.
-  const int expected = hedge_submitted ? 2 : 1;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] {
-      if (state->completed >= expected) return true;
-      if (hedge_submitted && state->attempts[1].done) {
-        Attempt& hedge = state->attempts[1];
-        if (hedge.result.ok()) {
-          ApplyFence(&hedge, fence_seq, /*hedged=*/true);
-          if (!hedge.result.value().degraded) return true;
-        }
-      }
-      if (state->attempts[0].done) {
-        Attempt& first = state->attempts[0];
-        if (first.result.ok()) {
-          ApplyFence(&first, fence_seq, /*hedged=*/!primary_is_preferred);
-          if (!first.result.value().degraded) return true;
-        }
-      }
-      return false;
-    });
-  }
-
-  Attempt chosen;
-  bool secondary_won = false;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    // Fences may not have been applied yet on the path where completion
-    // (not acceptability) ended the wait.
-    if (state->attempts[0].done) {
-      ApplyFence(&state->attempts[0], fence_seq,
-                 /*hedged=*/!primary_is_preferred);
-    }
-    if (hedge_submitted && state->attempts[1].done) {
-      ApplyFence(&state->attempts[1], fence_seq, /*hedged=*/true);
-    }
-    auto quality = [](const Attempt& attempt) {
-      if (!attempt.done) return 0;           // still in flight — unusable
-      if (!attempt.result.ok()) return 1;    // error, last resort
-      return attempt.result.value().degraded ? 2 : 3;
-    };
-    const int primary_quality = quality(state->attempts[0]);
-    const int hedge_quality =
-        hedge_submitted ? quality(state->attempts[1]) : 0;
-    if (hedge_quality > primary_quality) {
-      chosen = state->attempts[1];
-      secondary_won = true;
-    } else {
-      chosen = state->attempts[0];
-    }
-  }
-  return FinishExplain(trace, std::move(chosen),
-                       /*hedged=*/secondary_won,
-                       /*hedge_won=*/secondary_won && fired_as_hedge);
-}
-
-std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
-    const std::vector<BatchQuery>& items) {
-  std::vector<Result<ExplainResult>> results(
-      items.size(), Result<ExplainResult>(Status::Unavailable(
-                        "serving group: no routable backend")));
-  if (items.empty()) return results;
-  obs::RequestTrace trace(traces_.get(), "group_explain_batch");
-  obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
-  const std::vector<size_t> order = RouteOrder();
-  if (order.empty()) {
-    errors_->Add(items.size());
-    trace.set_outcome(obs::TraceOutcome::kBroke);
-    trace.set_detail("no routable backend");
-    return results;
-  }
-  // Same fence as Explain(): the freshest view the preferred backend
-  // promised at entry bounds every item in the batch.
-  const uint64_t fence_seq = BackendSeq(order[0]);
-  Status last = Status::Unavailable("serving group: all breakers open");
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    const size_t index = order[pos];
-    if (!AdmitBackend(index)) {
-      if (pos + 1 < order.size()) failovers_->Increment();
-      continue;
-    }
-    const uint64_t before = BackendSeq(index);
-    const auto start = registry_->now();
-    if (options_.explain_interceptor) options_.explain_interceptor(index);
-    std::vector<Result<KeyResult>> keys;
-    if (index == 0) {
-      keys = leader_->ExplainBatch(items);
-    } else {
-      // Replicas expose no batch surface; the routing decision and the
-      // serving view are still shared across the batch.
-      keys.reserve(items.size());
-      for (const BatchQuery& item : items) {
-        keys.push_back(
-            backends_[index].replica->Explain(item.x, item.y, item.deadline));
+  // Under state->mu: fences the finished attempts (idempotent) and reports
+  // whether every item already has an acceptable answer in one of them.
+  auto settled = [&] {
+    for (int slot = 0; slot < 2; ++slot) {
+      Attempt& attempt = state->attempts[slot];
+      if (attempt.done) {
+        ApplyFence(&attempt, fence_seq,
+                   /*secondary=*/slot == 1 || !primary_is_preferred);
       }
     }
-    const int64_t micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            registry_->now() - start)
-            .count();
-    const uint64_t after = BackendSeq(index);
-    const uint64_t view_seq = std::min(before, after);
-    // Breaker verdict for the whole dispatch: the backend failed only when
-    // it served no item and at least one failure was the backend's fault
-    // (client errors — kInvalidArgument — never are).
-    bool any_ok = false;
-    bool any_backend_error = false;
-    Status first_backend_error = Status::Ok();
-    for (const Result<KeyResult>& key : keys) {
-      if (key.ok()) {
-        any_ok = true;
-      } else if (key.status().code() != StatusCode::kInvalidArgument) {
-        if (!any_backend_error) first_backend_error = key.status();
-        any_backend_error = true;
-      }
-    }
-    const bool backend_failed = !any_ok && any_backend_error;
-    RecordOutcome(index,
-                  backend_failed ? first_backend_error : Status::Ok(),
-                  micros);
-    if (backend_failed) {
-      last = first_backend_error;
-      if (pos + 1 < order.size()) failovers_->Increment();
-      continue;
-    }
-    bool any_error = false;
-    bool any_degraded = false;
     for (size_t i = 0; i < items.size(); ++i) {
-      Attempt attempt;
-      attempt.backend = index;
-      attempt.view_seq = view_seq;
-      attempt.result = std::move(keys[i]);
-      attempt.done = true;
-      if (!attempt.result.ok()) {
-        errors_->Increment();
-        any_error = true;
-        results[i] = attempt.result.status();
+      if (!state->attempts[0].Acceptable(i) &&
+          !state->attempts[1].Acceptable(i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Give the primary its head start, bounded by the earliest item deadline.
+  const std::chrono::milliseconds delay =
+      HedgeDelay(order[pos], EarliestDeadline(items));
+  submit(0, order[pos]);
+  bool fired_as_hedge = false;
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait_for(lock, delay, [&] { return state->attempts[0].done; });
+  if (!settled()) {
+    // The primary is slow (hedge) or answered some item badly (failover):
+    // fire the same batch at the next admissible backend.
+    const bool primary_done = state->attempts[0].done;
+    lock.unlock();
+    bool secondary_fired = false;
+    for (++pos; pos < order.size() && !secondary_fired; ++pos) {
+      if (!AdmitBackend(order[pos])) {
+        failovers_->Increment();
         continue;
       }
-      ApplyFence(&attempt, fence_seq, /*hedged=*/pos > 0);
-      ExplainResult out;
-      out.key = std::move(attempt.result.value());
-      out.backend = index;
-      out.view_seq = view_seq;
-      out.hedged = false;
-      if (out.key.degraded) {
-        degraded_serves_->Increment();
-        any_degraded = true;
-      } else {
-        uint64_t floor = served_floor_.load(std::memory_order_relaxed);
-        while (floor < view_seq &&
-               !served_floor_.compare_exchange_weak(
-                   floor, view_seq, std::memory_order_relaxed)) {
-        }
-      }
-      results[i] = std::move(out);
+      secondary_fired = true;
+      fired_as_hedge = !primary_done;
+      (fired_as_hedge ? hedges_ : failovers_)->Increment();
+      submit(1, order[pos]);
     }
-    trace.set_outcome(any_error      ? obs::TraceOutcome::kError
-                      : any_degraded ? obs::TraceOutcome::kDegraded
-                                     : obs::TraceOutcome::kServedFull);
-    return results;
+    lock.lock();
+    const int expected = secondary_fired ? 2 : 1;
+    state->cv.wait(lock,
+                   [&] { return settled() || state->completed >= expected; });
   }
-  errors_->Add(items.size());
-  trace.set_outcome(obs::TraceOutcome::kError);
-  trace.set_detail(last.ToString());
-  for (Result<ExplainResult>& result : results) result = last;
-  return results;
+  // A finished attempt is never written again, so its answers move out.
+  Attempt primary;
+  Attempt secondary;
+  if (state->attempts[0].done) primary = std::move(state->attempts[0]);
+  if (state->attempts[1].done) secondary = std::move(state->attempts[1]);
+  lock.unlock();
+  return Serve(trace, items.size(), primary, &secondary, fired_as_hedge);
 }
 
 Result<Label> ServingGroup::Predict(const Instance& x,

@@ -52,7 +52,8 @@ const char* RoutePolicyName(RoutePolicy policy);
 /// preferred backend is broken, and *hedges* slow Explains: when the
 /// preferred backend has not answered within a per-backend p95-tracked
 /// delay, the same request is fired at the next-healthiest backend and the
-/// first acceptable answer wins.
+/// first acceptable answer wins. Every Explain is a batch — a scalar one is
+/// a batch of one — so batches route, fail over and hedge the same way.
 ///
 /// The bit-identical-keys contract survives hedging by watermark fencing
 /// on PublishedSequence(): every answer reports the published sequence of
@@ -187,20 +188,28 @@ class ServingGroup {
   Result<Label> Predict(const Instance& x, const Deadline& deadline = {});
   Status Record(const Instance& x, Label y);
 
-  /// Routed, breaker-guarded, optionally hedged Explain. kUnavailable
+  /// A batch of one: ExplainBatch({{x, y, deadline}})[0]. kUnavailable
   /// when no backend is routable (all evicted or broken).
   Result<ExplainResult> Explain(const Instance& x, Label y,
                                 const Deadline& deadline = {});
 
-  /// Routed batch Explain: one routing decision and one backend dispatch
-  /// answers every item. On the leader the items run as one
-  /// ExplainableProxy::ExplainBatch (one live-index read lock); on a replica
-  /// they run item-by-item against a single routed view. Never hedged.
-  /// Results are positional — result i answers items[i] — and item
-  /// failures are individual: per-item deadlines and degradation flags are
-  /// honored one by one, and the batch fails over to the next backend only
-  /// when the current one served *no* item. Watermark fencing applies to
-  /// every item exactly as in Explain().
+  /// The group's one Explain dispatch: routed, breaker-guarded and
+  /// optionally hedged, for any number of items. One routing decision
+  /// picks a backend, which answers the whole batch with one ExplainBatch
+  /// call (one live-index read lock on the leader or a replica). Results
+  /// are positional — result i answers items[i] — and item failures are
+  /// individual: per-item deadlines and degradation flags are honored one
+  /// by one. One breaker verdict covers the dispatch: a success when any
+  /// item was served, a failure when none was and the backend is at fault,
+  /// neither when every item was a client error (kInvalidArgument).
+  ///
+  /// Without hedging the batch fails over down the route order until a
+  /// backend serves any item. With hedging, a batch hedges exactly as a
+  /// single item does: the hedge delay is bounded by the earliest item
+  /// deadline; the same batch goes to the next backend when the primary is
+  /// slow or answered some item with an error or a degraded key; each item
+  /// takes the better of the two answers (full > degraded > error), the
+  /// primary winning ties. Watermark fencing applies to every item.
   std::vector<Result<ExplainResult>> ExplainBatch(
       const std::vector<BatchQuery>& items);
 
@@ -256,12 +265,28 @@ class ServingGroup {
     obs::Gauge* p95_gauge = nullptr;
   };
 
-  /// One backend call's outcome, as the hedging machinery sees it.
+  /// One backend dispatch of a whole batch, as the hedging machinery sees
+  /// it.
   struct Attempt {
-    Result<KeyResult> result = Status::Unavailable("not attempted");
+    /// Positional answers; empty until done.
+    std::vector<Result<KeyResult>> keys;
     uint64_t view_seq = 0;
     size_t backend = 0;
     bool done = false;
+    /// Not OK when the backend served no item and at least one failure
+    /// was its own: the cue to fail over.
+    Status failure;
+
+    /// How good item `i` is: 0 unanswered, 1 failed, 2 degraded, 3 full.
+    int Quality(size_t i) const {
+      return !done ? 0 : !keys[i].ok() ? 1 : keys[i]->degraded ? 2 : 3;
+    }
+    /// Item `i` needs no other backend: a full key, or a client error
+    /// (kInvalidArgument), which every backend returns alike.
+    bool Acceptable(size_t i) const {
+      return Quality(i) == 3 ||
+             (done && keys[i].status().code() == StatusCode::kInvalidArgument);
+    }
   };
   struct HedgeState;
 
@@ -282,24 +307,28 @@ class ServingGroup {
   /// false counts a failover.
   bool AdmitBackend(size_t index);
 
-  /// Runs one backend Explain and records latency + breaker outcome.
-  Attempt CallBackend(size_t index, const Instance& x, Label y,
-                      const Deadline& deadline);
+  /// Runs `items` as one ExplainBatch on a backend and records latency and
+  /// the dispatch's breaker verdict.
+  Attempt Dispatch(size_t index, const std::vector<BatchQuery>& items);
 
   void RecordOutcome(size_t index, const Status& status, int64_t micros);
   int64_t P95Locked(const Backend& backend) const;
   std::chrono::milliseconds HedgeDelay(size_t primary,
                                        const Deadline& deadline);
 
-  /// Applies the watermark fences to a candidate answer: demotes a
-  /// non-degraded answer to degraded (counting the reject) when its view
-  /// is behind `fence_seq` or behind the group's served floor.
-  void ApplyFence(Attempt* attempt, uint64_t fence_seq, bool hedged);
+  /// Applies the watermark fences to an attempt: demotes its non-degraded
+  /// keys to degraded when its view is behind the group's served floor, or
+  /// (for a `secondary` backend's answer) behind `fence_seq`, counting each
+  /// fence reject.
+  void ApplyFence(Attempt* attempt, uint64_t fence_seq, bool secondary);
 
-  /// Finalises a served answer: served-floor advance, metrics, trace.
-  Result<ExplainResult> FinishExplain(obs::RequestTrace& trace,
-                                      Attempt attempt, bool hedged,
-                                      bool hedge_won);
+  /// Picks each item's answer — `secondary` (may be null) only where it is
+  /// strictly better than `primary` — then advances the served floor and
+  /// stamps metrics and the trace.
+  std::vector<Result<ExplainResult>> Serve(obs::RequestTrace& trace,
+                                           size_t items, Attempt& primary,
+                                           Attempt* secondary,
+                                           bool fired_as_hedge);
 
   ExplainableProxy* leader_;
   Options options_;

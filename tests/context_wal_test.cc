@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
@@ -67,7 +68,8 @@ RecordList BuildLog(const std::string& path, size_t count,
 }
 
 TEST(ContextWalTest, AppendReplayRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/wal_roundtrip.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_roundtrip.wal");
   RecordList written = BuildLog(path, 10);
   ContextWal::RecoveryStats stats;
   RecordList replayed = Recover(path, &stats);
@@ -79,7 +81,8 @@ TEST(ContextWalTest, AppendReplayRoundTrip) {
 }
 
 TEST(ContextWalTest, FreshLogIsEmpty) {
-  const std::string path = ::testing::TempDir() + "/wal_fresh.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_fresh.wal");
   std::remove(path.c_str());
   ContextWal::RecoveryStats stats;
   std::unique_ptr<ContextWal> wal;
@@ -91,7 +94,8 @@ TEST(ContextWalTest, FreshLogIsEmpty) {
 }
 
 TEST(ContextWalTest, SyncPolicyControlsFsyncCadence) {
-  const std::string path = ::testing::TempDir() + "/wal_sync.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_sync.wal");
   for (size_t sync_every : {size_t{1}, size_t{4}, size_t{0}}) {
     std::remove(path.c_str());
     ContextWal::Options options;
@@ -113,7 +117,8 @@ TEST(ContextWalTest, SyncPolicyControlsFsyncCadence) {
 }
 
 TEST(ContextWalTest, ResetStartsANewGenerationWithTheGivenBase) {
-  const std::string path = ::testing::TempDir() + "/wal_reset.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_reset.wal");
   BuildLog(path, 6);
   std::unique_ptr<ContextWal> wal;
   Recover(path, nullptr, &wal);
@@ -132,7 +137,8 @@ TEST(ContextWalTest, ResetStartsANewGenerationWithTheGivenBase) {
 }
 
 TEST(ContextWalTest, AppendAfterRecoveryContinuesTheChain) {
-  const std::string path = ::testing::TempDir() + "/wal_continue.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_continue.wal");
   RecordList written = BuildLog(path, 5);
   {
     std::unique_ptr<ContextWal> wal;
@@ -150,8 +156,9 @@ TEST(ContextWalTest, AppendAfterRecoveryContinuesTheChain) {
 /// must salvage exactly the records whose frames are fully intact —
 /// recovery never fails, and no partial frame is ever surfaced.
 TEST(ContextWalCorruptionTest, EveryTruncationPointSalvagesTheIntactPrefix) {
-  const std::string path = ::testing::TempDir() + "/wal_trunc_src.wal";
-  const std::string victim = ::testing::TempDir() + "/wal_trunc.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_trunc_src.wal");
+  const std::string victim = temp.File("wal_trunc.wal");
   const size_t kRecords = 8;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -185,8 +192,9 @@ TEST(ContextWalCorruptionTest, EveryTruncationPointSalvagesTheIntactPrefix) {
 /// Every single-bit flip must be caught: recovery returns OK with a strict
 /// prefix of the original records and never accepts a mutated record.
 TEST(ContextWalCorruptionTest, EverySingleBitFlipIsRejectedNotResurrected) {
-  const std::string path = ::testing::TempDir() + "/wal_flip_src.wal";
-  const std::string victim = ::testing::TempDir() + "/wal_flip.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_flip_src.wal");
+  const std::string victim = temp.File("wal_flip.wal");
   const size_t kRecords = 6;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -217,7 +225,8 @@ TEST(ContextWalCorruptionTest, EverySingleBitFlipIsRejectedNotResurrected) {
 /// A duplicated tail block is checksum-valid but out of sequence: recovery
 /// must keep the original records and drop the replayed copy.
 TEST(ContextWalCorruptionTest, DuplicatedTailBlockIsDropped) {
-  const std::string path = ::testing::TempDir() + "/wal_dup.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_dup.wal");
   const size_t kRecords = 5;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -235,7 +244,8 @@ TEST(ContextWalCorruptionTest, DuplicatedTailBlockIsDropped) {
 
 /// Garbage instead of a log (wrong magic, random bytes) restarts cleanly.
 TEST(ContextWalCorruptionTest, ForeignFileRestartsTheLog) {
-  const std::string path = ::testing::TempDir() + "/wal_foreign.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_foreign.wal");
   WriteFileBytes(path, "this is not a wal at all, not even close\n");
   ContextWal::RecoveryStats stats;
   std::unique_ptr<ContextWal> wal;
@@ -254,7 +264,8 @@ TEST(ContextWalCorruptionTest, ForeignFileRestartsTheLog) {
 /// dropped the dirty pages, so the log must refuse to accept (and claim
 /// durability for) anything more until it is rewritten from scratch.
 TEST(ContextWalPoisonTest, FailedFsyncPoisonsUntilReset) {
-  const std::string path = ::testing::TempDir() + "/wal_poison.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_poison.wal");
   std::remove(path.c_str());
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
@@ -294,7 +305,8 @@ TEST(ContextWalPoisonTest, FailedFsyncPoisonsUntilReset) {
 /// that rollback truncation *also* fails, a torn frame may be on disk and
 /// the log poisons itself rather than appending after garbage.
 TEST(ContextWalPoisonTest, FailedRollbackAfterTornAppendPoisons) {
-  const std::string path = ::testing::TempDir() + "/wal_rollback.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_rollback.wal");
   std::remove(path.c_str());
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
@@ -323,7 +335,8 @@ TEST(ContextWalPoisonTest, FailedRollbackAfterTornAppendPoisons) {
 /// A failed append whose rollback *succeeds* leaves a clean, unpoisoned
 /// log: the next append lands on the previous frame boundary.
 TEST(ContextWalPoisonTest, SuccessfulRollbackKeepsTheLogClean) {
-  const std::string path = ::testing::TempDir() + "/wal_clean_rollback.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_clean_rollback.wal");
   std::remove(path.c_str());
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
@@ -348,7 +361,8 @@ TEST(ContextWalPoisonTest, SuccessfulRollbackKeepsTheLogClean) {
 }
 
 TEST(ContextWalTest, OversizedInstanceIsRejected) {
-  const std::string path = ::testing::TempDir() + "/wal_oversize.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_oversize.wal");
   std::remove(path.c_str());
   std::unique_ptr<ContextWal> wal;
   Recover(path, nullptr, &wal);
@@ -361,7 +375,8 @@ TEST(ContextWalTest, OversizedInstanceIsRejected) {
 /// only its own slice of the global order): gaps round-trip verbatim, and
 /// a non-increasing sequence is rejected before touching the file.
 TEST(ContextWalTest, SparseSequencesRoundTripAndStayMonotonic) {
-  const std::string path = ::testing::TempDir() + "/wal_sparse.wal";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("wal_sparse.wal");
   std::remove(path.c_str());
   {
     auto wal = ContextWal::Open(path, {}, nullptr, nullptr);

@@ -10,13 +10,10 @@
 
 #include "common/logging.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string MustRead(Env* env, const std::string& path) {
   std::string content;
@@ -25,8 +22,9 @@ std::string MustRead(Env* env, const std::string& path) {
 }
 
 TEST(PosixEnvTest, AppendableFileAccumulates) {
+  const cce::testing::ScopedTempDir temp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_append.bin");
+  const std::string path = temp.File("env_append.bin");
   std::remove(path.c_str());
   {
     auto file = env->NewAppendableFile(path);
@@ -49,8 +47,9 @@ TEST(PosixEnvTest, AppendableFileAccumulates) {
 }
 
 TEST(PosixEnvTest, TruncatedFileStartsEmpty) {
+  const cce::testing::ScopedTempDir temp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_trunc.bin");
+  const std::string path = temp.File("env_trunc.bin");
   {
     auto file = env->NewAppendableFile(path);
     CCE_CHECK_OK(file.status());
@@ -68,8 +67,9 @@ TEST(PosixEnvTest, TruncatedFileStartsEmpty) {
 }
 
 TEST(PosixEnvTest, TruncateCutsAndRepositions) {
+  const cce::testing::ScopedTempDir temp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_cut.bin");
+  const std::string path = temp.File("env_cut.bin");
   auto file = env->NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   CCE_CHECK_OK((*file)->Append("0123456789"));
@@ -82,16 +82,18 @@ TEST(PosixEnvTest, TruncateCutsAndRepositions) {
 }
 
 TEST(PosixEnvTest, ReadMissingFileIsNotFound) {
+  const cce::testing::ScopedTempDir temp;
   Env* env = Env::Default();
   std::string content;
-  EXPECT_EQ(env->ReadFileToString(TempPath("env_no_such_file"), &content)
+  EXPECT_EQ(env->ReadFileToString(temp.File("env_no_such_file"), &content)
                 .code(),
             StatusCode::kNotFound);
 }
 
 TEST(PosixEnvTest, RenameReplacesAndListDirSeesIt) {
+  const cce::testing::ScopedTempDir temp;
   Env* env = Env::Default();
-  const std::string dir = TempPath("env_listdir");
+  const std::string dir = temp.File("env_listdir");
   CCE_CHECK_OK(env->CreateDir(dir));
   {
     auto file = env->NewTruncatedFile(dir + "/a.src");
@@ -110,8 +112,9 @@ TEST(PosixEnvTest, RenameReplacesAndListDirSeesIt) {
 }
 
 TEST(FaultEnvTest, ArmedAppendFailureFiresOnceThenClears) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_append.bin");
+  const std::string path = temp.File("fault_append.bin");
   std::remove(path.c_str());
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
@@ -127,8 +130,9 @@ TEST(FaultEnvTest, ArmedAppendFailureFiresOnceThenClears) {
 }
 
 TEST(FaultEnvTest, TornAppendLandsThePrefix) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_torn.bin");
+  const std::string path = temp.File("fault_torn.bin");
   std::remove(path.c_str());
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
@@ -144,8 +148,9 @@ TEST(FaultEnvTest, TornAppendLandsThePrefix) {
 }
 
 TEST(FaultEnvTest, SpaceBudgetGivesEnospcWithPartialLanding) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_enospc.bin");
+  const std::string path = temp.File("fault_enospc.bin");
   std::remove(path.c_str());
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
@@ -163,8 +168,9 @@ TEST(FaultEnvTest, SpaceBudgetGivesEnospcWithPartialLanding) {
 }
 
 TEST(FaultEnvTest, ArmedSyncAndTruncateFailuresFire) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_sync.bin");
+  const std::string path = temp.File("fault_sync.bin");
   std::remove(path.c_str());
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
@@ -182,8 +188,9 @@ TEST(FaultEnvTest, ArmedSyncAndTruncateFailuresFire) {
 }
 
 TEST(FaultEnvTest, ReadFaultsAndShortReads) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_read.bin");
+  const std::string path = temp.File("fault_read.bin");
   {
     auto file = env.NewTruncatedFile(path);
     CCE_CHECK_OK(file.status());
@@ -205,11 +212,12 @@ TEST(FaultEnvTest, ReadFaultsAndShortReads) {
 }
 
 TEST(FaultEnvTest, DisabledEnvPassesEverythingThrough) {
+  const cce::testing::ScopedTempDir temp;
   FaultInjectingEnv env(Env::Default());
   env.FailNextAppend();
   env.FailNextSync();
   env.set_enabled(false);
-  const std::string path = TempPath("fault_disabled.bin");
+  const std::string path = temp.File("fault_disabled.bin");
   std::remove(path.c_str());
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
@@ -220,6 +228,7 @@ TEST(FaultEnvTest, DisabledEnvPassesEverythingThrough) {
 }
 
 TEST(FaultEnvTest, SeededProbabilisticScheduleIsDeterministic) {
+  const cce::testing::ScopedTempDir temp;
   // Two envs with the same seed must fail the same operations — the crash
   // torture suite depends on reproducible schedules.
   FaultInjectingEnv::Options options;
@@ -228,7 +237,7 @@ TEST(FaultEnvTest, SeededProbabilisticScheduleIsDeterministic) {
   std::vector<bool> first, second;
   for (int run = 0; run < 2; ++run) {
     FaultInjectingEnv env(Env::Default(), options);
-    const std::string path = TempPath("fault_seeded.bin");
+    const std::string path = temp.File("fault_seeded.bin");
     std::remove(path.c_str());
     auto file = env.NewTruncatedFile(path);
     CCE_CHECK_OK(file.status());

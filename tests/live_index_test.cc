@@ -226,6 +226,31 @@ TEST(LiveIndexTest, AlphaBelowOneMatchesOracle) {
       "alpha=0.97");
 }
 
+/// One replica ExplainBatch over 16 rows: every item equals the replica's
+/// scalar Explain of that row and the leader's.
+void ExpectBatchMatchesScalarAndLeader(const ExplainableProxy& leader,
+                                       const ReplicaProxy& replica,
+                                       const Dataset& data,
+                                       const std::string& step) {
+  std::vector<BatchQuery> batch;
+  for (size_t i = 0; i < 16; ++i) {
+    const size_t row = (i * 89) % data.size();
+    batch.push_back({data.instance(row), data.label(row), {}});
+  }
+  const std::vector<Result<KeyResult>> batched = replica.ExplainBatch(batch);
+  ASSERT_EQ(batched.size(), batch.size()) << step;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string what = step + " item " + std::to_string(i);
+    const auto from_leader = leader.Explain(batch[i].x, batch[i].y);
+    const auto from_replica = replica.Explain(batch[i].x, batch[i].y);
+    ASSERT_TRUE(from_leader.ok() && from_replica.ok() && batched[i].ok())
+        << what;
+    EXPECT_FALSE(batched[i]->degraded) << what;
+    ExpectSameKey(*from_replica, *from_leader, what + " leader vs replica");
+    ExpectSameKey(*batched[i], *from_replica, what + " batch vs scalar");
+  }
+}
+
 TEST(LiveIndexTest, ReplicaKeysMatchOracleAndLeader) {
   const Dataset data = TiedData(2800, 41);
   for (size_t shards : {size_t{1}, size_t{4}}) {
@@ -258,16 +283,7 @@ TEST(LiveIndexTest, ReplicaKeysMatchOracleAndLeader) {
           view, data, 32, 67, 1.0,
           [&](const Instance& x, Label y) { return replica.Explain(x, y); },
           step + " replica");
-      for (size_t i = 0; i < 16; ++i) {
-        const size_t row = (i * 89) % data.size();
-        const auto from_leader =
-            leader->Explain(data.instance(row), data.label(row));
-        const auto from_replica =
-            replica.Explain(data.instance(row), data.label(row));
-        ASSERT_TRUE(from_leader.ok() && from_replica.ok()) << step;
-        ExpectSameKey(*from_replica, *from_leader,
-                      step + " leader vs replica row " + std::to_string(row));
-      }
+      ExpectBatchMatchesScalarAndLeader(*leader, replica, data, step);
     }
     // A forced resync swaps in a freshly built index: same keys.
     CCE_CHECK_OK(replica.ForceResync());
@@ -275,6 +291,8 @@ TEST(LiveIndexTest, ReplicaKeysMatchOracleAndLeader) {
         replica.ContextSnapshot(), data, 32, 67, 1.0,
         [&](const Instance& x, Label y) { return replica.Explain(x, y); },
         what + " after ForceResync");
+    ExpectBatchMatchesScalarAndLeader(*leader, replica, data,
+                                      what + " after ForceResync");
   }
 }
 
@@ -391,8 +409,11 @@ TEST(LiveIndexTest, SequenceBelowBaseMovesTheBaseDown) {
   ReadPath path;
   ExpectOracleKeys(
       window, data, 40, 7, 1.0,
-      [&](const Instance& x, Label y) {
-        return view.Search(x, y, Deadline(), path);
+      [&](const Instance& x, Label y) -> Result<KeyResult> {
+        auto keys = view.SearchBatch({{x, y, Deadline()}}, path,
+                                     /*degraded_view=*/false);
+        if (!keys.ok()) return keys.status();
+        return std::move(keys->front());
       },
       "below base");
 }

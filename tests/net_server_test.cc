@@ -248,8 +248,8 @@ TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
 TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
   NetServer::Options options;
   options.worker_threads = 1;
-  // Pin the scalar path: micro-batching exists precisely to absorb this
-  // flood within its deadlines (BatchedFloodMeetsDeadlines below), so the
+  // Batches of one: micro-batching exists precisely to absorb this flood
+  // within its deadlines (BatchedFloodMeetsDeadlines below), so the
   // per-request expiry behaviour needs batching off to surface.
   options.max_explain_batch = 1;
   NetStack stack(options, 120, std::chrono::milliseconds(2));

@@ -80,7 +80,8 @@ TEST(DatasetIoTest, RejectsCorruptedInput) {
 
 TEST(DatasetIoTest, FileRoundTrip) {
   cce::testing::Fig2Context fig2;
-  const std::string path = ::testing::TempDir() + "/cce_dataset_test.txt";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("cce_dataset_test.txt");
   CCE_CHECK_OK(SaveDatasetToFile(fig2.context, path));
   auto loaded = LoadDatasetFromFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -156,7 +157,8 @@ TEST(GbdtIoTest, FileRoundTrip) {
   Dataset data = cce::testing::RandomContext(200, 4, 3, 92);
   auto model = ml::Gbdt::Train(data, {});
   ASSERT_TRUE(model.ok());
-  const std::string path = ::testing::TempDir() + "/cce_model_test.txt";
+  const cce::testing::ScopedTempDir temp;
+  const std::string path = temp.File("cce_model_test.txt");
   CCE_CHECK_OK(SaveGbdtToFile(**model, path));
   auto loaded = LoadGbdtFromFile(path);
   ASSERT_TRUE(loaded.ok());

@@ -265,6 +265,122 @@ TEST(ServingGroupTest, InvalidArgumentDoesNotTripTheBreaker) {
   EXPECT_TRUE(good.ok()) << good.status().ToString();
 }
 
+TEST(ServingGroupTest, InvalidBatchLeavesAHalfOpenBreakerHalfOpen) {
+  // An empty leader fails every Explain with kFailedPrecondition, which
+  // opens its breaker; after the cooldown the next dispatch is a half-open
+  // probe. A batch of malformed items proves nothing about the backend, so
+  // the probe must count neither way.
+  Dataset data = cce::testing::RandomContext(64, 4, 3, 13, /*noise=*/0.1);
+  ExplainableProxy::Options leader_options;
+  leader_options.monitor_drift = false;
+  auto leader_or =
+      ExplainableProxy::Create(data.schema_ptr(), nullptr, leader_options);
+  CCE_CHECK_OK(leader_or.status());
+  auto now = std::chrono::steady_clock::now();
+  ServingGroup::Options options;
+  options.hedge = false;
+  options.breaker.failure_threshold = 1;
+  options.breaker.successes_to_close = 1;
+  options.breaker.open_cooldown = std::chrono::milliseconds(10);
+  options.clock = [&now] { return now; };
+  auto group_or = ServingGroup::Create((*leader_or).get(), {}, options);
+  CCE_CHECK_OK(group_or.status());
+  ServingGroup& group = **group_or;
+
+  auto failed = group.Explain(data.instance(0), data.label(0));
+  EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(group.Health().backends[0].breaker,
+            CircuitBreaker::State::kOpen);
+
+  now += std::chrono::milliseconds(20);
+  std::vector<BatchQuery> invalid(4, {Instance(2), data.label(0), {}});
+  for (const auto& result : group.ExplainBatch(invalid)) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(group.Health().backends[0].breaker,
+            CircuitBreaker::State::kHalfOpen);
+}
+
+TEST(ServingGroupTest, BatchHedgesToReplicaWhenLeaderIsSlow) {
+  GroupStack stack("group_batch_hedge");
+  ServingGroup::Options options;
+  options.hedge_min_delay = std::chrono::milliseconds(1);
+  options.hedge_max_delay = std::chrono::milliseconds(2);
+  options.explain_interceptor = [](size_t backend) {
+    if (backend == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    }
+  };
+  auto group = stack.MakeGroup(options);
+  group->RefreshProbes();
+
+  std::vector<BatchQuery> batch;
+  for (size_t row = 0; row < 4; ++row) {
+    batch.push_back({stack.data.instance(row), stack.data.label(row), {}});
+  }
+  const auto results = group->ExplainBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i]->backend, 1u) << "item " << i;
+    EXPECT_TRUE(results[i]->hedged) << "item " << i;
+    EXPECT_FALSE(results[i]->key.degraded) << "item " << i;
+    auto expected = stack.leader->Explain(batch[i].x, batch[i].y);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ExpectSameKey(results[i]->key, *expected);
+  }
+  ServingGroup::GroupHealth health = group->Health();
+  EXPECT_EQ(health.hedges, 1u);
+  EXPECT_EQ(health.hedge_wins, 1u);
+  EXPECT_EQ(health.stale_hedge_rejects, 0u);
+}
+
+TEST(ServingGroupTest, StaleBatchIsFencedItemByItem) {
+  GroupStack stack("group_batch_fence");
+  for (size_t i = 64; i < 96; ++i) {
+    CCE_CHECK_OK(stack.leader->Record(stack.data.instance(i),
+                                      stack.data.label(i)));
+  }
+  ServingGroup::Options options;
+  options.hedge_min_delay = std::chrono::milliseconds(1);
+  options.hedge_max_delay = std::chrono::milliseconds(2);
+  options.explain_interceptor = [](size_t backend) {
+    if (backend == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    }
+  };
+  auto group = stack.MakeGroup(options);
+  group->RefreshProbes();
+
+  std::vector<BatchQuery> batch;
+  for (size_t row = 0; row < 4; ++row) {
+    batch.push_back({stack.data.instance(row), stack.data.label(row), {}});
+  }
+  // The hedge fired, but every one of its answers came from behind the
+  // fence: each item is demoted on its own and the fresh primary serves.
+  for (const auto& result : group->ExplainBatch(batch)) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->backend, 0u);
+    EXPECT_FALSE(result->hedged);
+    EXPECT_FALSE(result->key.degraded);
+  }
+  ServingGroup::GroupHealth health = group->Health();
+  EXPECT_EQ(health.hedges, 1u);
+  EXPECT_EQ(health.stale_hedge_rejects, batch.size());
+  EXPECT_EQ(health.hedge_wins, 0u);
+
+  // With the leader evicted the stale replica answers alone; every item is
+  // behind the served floor the leader's answers set, so each is degraded.
+  group->EvictBackend(0);
+  for (const auto& result : group->ExplainBatch(batch)) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->backend, 1u);
+    EXPECT_TRUE(result->key.degraded);
+    EXPECT_LT(result->view_seq, stack.leader->PublishedSequence());
+  }
+  EXPECT_EQ(group->Health().degraded_serves, batch.size());
+}
+
 TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
   // An empty replica (nothing ever shipped) fails every Explain with
   // kFailedPrecondition; with the leader evicted the group has only that
