@@ -27,7 +27,9 @@
 # hundreds of write-crash-recover cycles with randomized kill points and
 # injected I/O faults (torn appends, failed fsyncs, ENOSPC during
 # compaction). Every surviving byte must replay cleanly and no recovery
-# path may leak or scribble under ASan.
+# path may leak or scribble under ASan. It also runs ShardSnapshotFuzz:
+# every prefix and single-bit flip of a CCESNAP 2 snapshot must decode to
+# an error or to rows valid under the snapshot's schema.
 #
 # SUITE=replica is the replication torture gate: AddressSanitizer build of
 # the ReplicaTorture suite with CCE_REPLICA_ITERS=200 — dual kill-and-recover
@@ -90,7 +92,7 @@ elif [[ "$SUITE" == "docs" ]]; then
 elif [[ "$SUITE" == "crash" ]]; then
   SANITIZER=address
   export CCE_CRASH_ITERS=${CCE_CRASH_ITERS:-200}
-  SUITE_ARGS=(-R 'CrashTorture')
+  SUITE_ARGS=(-R 'CrashTorture|ShardSnapshotFuzz')
 elif [[ "$SUITE" == "replica" ]]; then
   SANITIZER=address
   export CCE_REPLICA_ITERS=${CCE_REPLICA_ITERS:-200}

@@ -154,7 +154,7 @@ std::vector<const uint64_t*> AgreeWords(const RowBitmap* agree, size_t n) {
 /// holds live rows is scanned.
 KeyResult ExplainIndexedItem(const BitsetConformityChecker& index,
                              const Instance& x0, Label y0, double alpha,
-                             const Deadline& deadline, ThreadPool* pool,
+                             const Deadline& deadline,
                              Srk::EngineStats* stats) {
   const size_t n = x0.size();
   const size_t live_rows = index.live_rows();
@@ -217,7 +217,7 @@ KeyResult ExplainIndexedItem(const BitsetConformityChecker& index,
 
   return RunBitsetGreedy(n, words, live_rows, tolerated, deadline,
                          agree.data(), violators.data(), value_frequency,
-                         pool, stats);
+                         /*pool=*/nullptr, stats);
 }
 
 /// The bitset path: for a fixed x0 the greedy only ever reads the
@@ -633,22 +633,17 @@ Result<std::vector<KeyResult>> Srk::ExplainIndexedBatch(
   CCE_RETURN_IF_ERROR(
       ValidateBatch(items, index.context().num_features(), options.alpha));
   std::vector<KeyResult> results(items.size());
-  if (items.size() == 1) {
-    // A lone item spreads its candidate counts over the pool instead.
-    results[0] = ExplainIndexedItem(index, items[0].x, items[0].y,
-                                    options.alpha, items[0].deadline,
-                                    options.pool, options.stats);
-    return results;
-  }
   // Items fan across the pool with a serial greedy inside each task
   // (ThreadPool is non-reentrant); every compared quantity is an exact
-  // popcount, so the keys do not depend on the fan-out.
+  // popcount, so the keys do not depend on the fan-out. A lone item counts
+  // serially: spreading one greedy's counts over the pool costs more in
+  // hand-offs than it saves (docs/algorithms.md "The live index").
   auto run_item = [&](size_t i) {
     results[i] = ExplainIndexedItem(index, items[i].x, items[i].y,
                                     options.alpha, items[i].deadline,
-                                    /*pool=*/nullptr, options.stats);
+                                    options.stats);
   };
-  if (options.pool != nullptr) {
+  if (options.pool != nullptr && items.size() > 1) {
     options.pool->ParallelFor(items.size(), run_item);
     if (options.stats != nullptr) {
       options.stats->shard_tasks.fetch_add(items.size(),

@@ -110,9 +110,8 @@ class Srk {
   /// its deadline degraded it. The tie-break sample is the first
   /// min(2048, live) live ids, which are exactly that context's first rows.
   /// With `options.pool` set, several items run across the pool (each
-  /// greedy serial inside its task) and a single item shards its
-  /// candidate counting over it instead; `parallel_conformity` is not
-  /// read.
+  /// greedy serial inside its task); a single item counts serially.
+  /// `parallel_conformity` is not read.
   static Result<std::vector<KeyResult>> ExplainIndexedBatch(
       const BitsetConformityChecker& index,
       const std::vector<BatchItem>& items, const Options& options);

@@ -40,6 +40,15 @@ Status EnsureDirectory(const std::string& path) {
 
 Status AtomicWriteFile(Env* env, const std::string& path,
                        const std::function<Status(std::ostream*)>& writer) {
+  // The writer streams into memory first; all disk I/O then goes through
+  // the env so fault injection sees every byte.
+  std::ostringstream buffer;
+  CCE_RETURN_IF_ERROR(writer(&buffer));
+  return AtomicWriteFile(env, path, buffer.view());
+}
+
+Status AtomicWriteFile(Env* env, const std::string& path,
+                       std::string_view content) {
   if (path.empty()) return Status::InvalidArgument("empty file path");
   if (env == nullptr) env = Env::Default();
   // Unique per process + call so concurrent writers to different targets
@@ -51,12 +60,6 @@ Status AtomicWriteFile(Env* env, const std::string& path,
       std::to_string(::getpid()) + "." +
 #endif
       std::to_string(counter.fetch_add(1));
-
-  // The writer streams into memory first; all disk I/O then goes through
-  // the env so fault injection sees every byte.
-  std::ostringstream buffer;
-  CCE_RETURN_IF_ERROR(writer(&buffer));
-  const std::string content = buffer.str();
 
   auto opened = env->NewTruncatedFile(tmp);
   if (!opened.ok()) return opened.status();

@@ -4,6 +4,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "io/env.h"
@@ -23,6 +24,11 @@ namespace cce::io {
 /// through `env`, so tests can inject ENOSPC/EIO on the snapshot path.
 Status AtomicWriteFile(Env* env, const std::string& path,
                        const std::function<Status(std::ostream*)>& writer);
+
+/// As above with the whole content already in memory (a binary snapshot,
+/// a shipped segment).
+Status AtomicWriteFile(Env* env, const std::string& path,
+                       std::string_view content);
 
 /// As above on Env::Default() — the common production spelling.
 Status AtomicWriteFile(const std::string& path,

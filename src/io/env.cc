@@ -29,7 +29,7 @@ class PosixWritableFile : public WritableFile {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  Status Append(const std::string& data) override {
+  Status Append(std::string_view data) override {
     if (fd_ < 0) return Status::FailedPrecondition("file is closed");
     size_t written = 0;
     while (written < data.size()) {

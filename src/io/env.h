@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,7 +24,7 @@ class WritableFile {
   /// Appends `data` at the current end of file. On failure the file may
   /// hold a prefix of `data` (a torn write) — callers that need frame
   /// atomicity must roll back via Truncate.
-  virtual Status Append(const std::string& data) = 0;
+  virtual Status Append(std::string_view data) = 0;
 
   /// fsync(2): flushes data (and metadata needed to read it) to stable
   /// storage. A failure means previously appended bytes may never reach

@@ -15,7 +15,7 @@ class FaultingWritableFile : public WritableFile {
                        std::unique_ptr<WritableFile> base)
       : env_(env), base_(std::move(base)) {}
 
-  Status Append(const std::string& data) override {
+  Status Append(std::string_view data) override {
     const FaultInjectingEnv::AppendPlan plan = env_->PlanAppend(data.size());
     if (!plan.fail) return base_->Append(data);
     if (plan.keep_bytes > 0) {

@@ -1,14 +1,11 @@
 #include "serving/context_shard.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "io/atomic_file.h"
-#include "io/serialize.h"
 #include "io/shard_snapshot.h"
+#include "io/wal_segment.h"
 #include "serving/live_index.h"
 
 namespace cce::serving {
@@ -64,14 +61,14 @@ Status ContextShard::QuarantineLocked(const std::string& reason,
   return Status::Ok();
 }
 
-void ContextShard::PushRowLocked(uint64_t seq, const Instance& x, Label y) {
+void ContextShard::PushRowLocked(uint64_t seq, Instance x, Label y) {
   if (window_.empty()) {
     front_seq_.store(seq, std::memory_order_release);
   }
-  window_.push_back(Row{seq, x, y});
+  const Row& row = window_.emplace_back(Row{seq, std::move(x), y});
   window_size_.store(window_.size(), std::memory_order_release);
-  if (index_ != nullptr) index_->Insert(seq, x, y);
-  if (drift_ != nullptr) drift_->Observe(x, y);
+  if (index_ != nullptr) index_->Insert(seq, row.x, y);
+  if (drift_ != nullptr) drift_->Observe(row.x, y);
 }
 
 void ContextShard::ClearWindowLocked() {
@@ -104,8 +101,8 @@ Status ContextShard::Recover(std::atomic<uint64_t>* seq) {
   if (options_.wal_path.empty()) return Status::Ok();  // in-memory shard
 
   io::LoadedShardSnapshot snapshot;
-  snapshot.rows = Dataset(schema_);
-  if (env_->FileExists(options_.snapshot_path)) {
+  const bool has_snapshot = env_->FileExists(options_.snapshot_path);
+  if (has_snapshot) {
     auto loaded = io::LoadShardSnapshot(env_, options_.snapshot_path);
     if (!loaded.ok()) {
       return QuarantineLocked("shard " + std::to_string(options_.index) +
@@ -114,22 +111,21 @@ Status ContextShard::Recover(std::atomic<uint64_t>* seq) {
                               "snapshot");
     }
     snapshot = std::move(loaded).value();
-    Status compatible =
-        io::CheckShardSchemaCompatible(*schema_, snapshot.rows.schema());
     // A schema clash is the hard failure that must stop Create: serving
     // another deployment's context would silently mis-explain everything.
-    CCE_RETURN_IF_ERROR(compatible);
+    CCE_RETURN_IF_ERROR(
+        io::CheckShardSchemaCompatible(*schema_, snapshot.schema));
   }
 
   // Collect the log's frames first, then decide what to apply: the skip
   // count below depends on recovery stats only known after Open returns.
-  std::vector<Row> frames;
+  std::vector<io::WalFrame> frames;
   io::ContextWal::RecoveryStats stats;
   io::ContextWal::Options wal_options;
   wal_options.sync_every = options_.sync_every;
   wal_options.env = env_;
   auto replay = [&frames](uint64_t frame_seq, const Instance& x, Label y) {
-    frames.push_back(Row{frame_seq, x, y});
+    frames.push_back(io::WalFrame{frame_seq, x, y});
     return Status::Ok();
   };
   auto opened = io::ContextWal::Open(options_.wal_path, wal_options, replay,
@@ -149,54 +145,43 @@ Status ContextShard::Recover(std::atomic<uint64_t>* seq) {
 
   // Torn-compaction healing: a crash after the snapshot rename but before
   // the WAL reset leaves log frames that the snapshot already contains.
-  // The wrapper's covers count identifies exactly how many to skip.
+  // The covers count identifies exactly how many to skip.
   const uint64_t base = stats.base_recorded;
   uint64_t skip = 0;
-  if (snapshot.covers_valid && snapshot.covers > base) {
+  if (snapshot.covers > base) {
     skip = std::min<uint64_t>(snapshot.covers - base, frames.size());
   }
 
   uint64_t replayed = 0;
   uint64_t dropped = stats.records_dropped;
-  // Rows recovered with a persisted sequence keep it — that is what lets
-  // the proxy re-merge N shard windows into the exact cross-shard arrival
-  // order — and the shared counter is advanced past it so new records
-  // never collide. Legacy rows (headerless snapshot) take fresh numbers.
-  auto admit = [&](uint64_t row_seq, bool seq_known, const Instance& x,
-                   Label y) {
+  // Rows keep their persisted sequence — that is what lets the proxy
+  // re-merge N shard windows into the exact cross-shard arrival order —
+  // and the shared counter is advanced past it so new records never
+  // collide.
+  auto admit = [&](uint64_t row_seq, Instance& x, Label y) {
     if (!schema_->ValidateInstance(x).ok() ||
         !schema_->ValidateLabel(y).ok()) {
       // A poisoned row in a tampered file is dropped, not admitted.
       ++dropped;
       return;
     }
-    if (seq_known) {
-      // Recovery runs shard-sequentially on one thread; a plain
-      // load/store max is race-free here.
-      if (seq->load(std::memory_order_relaxed) <= row_seq) {
-        seq->store(row_seq + 1, std::memory_order_relaxed);
-      }
-    } else {
-      row_seq = seq->fetch_add(1, std::memory_order_relaxed);
+    // Recovery runs shard-sequentially on one thread; a plain load/store
+    // max is race-free here.
+    if (seq->load(std::memory_order_relaxed) <= row_seq) {
+      seq->store(row_seq + 1, std::memory_order_relaxed);
     }
-    PushRowLocked(row_seq, x, y);
+    PushRowLocked(row_seq, std::move(x), y);
     ++replayed;
   };
-  for (size_t row = 0; row < snapshot.rows.size(); ++row) {
-    const bool seq_known = snapshot.covers_valid;
-    admit(seq_known ? snapshot.seqs[row] : 0, seq_known,
-          snapshot.rows.instance(row), snapshot.rows.label(row));
-  }
+  for (io::ShardSnapshotRow& row : snapshot.rows) admit(row.seq, row.x, row.y);
   for (size_t i = static_cast<size_t>(skip); i < frames.size(); ++i) {
-    admit(frames[i].seq, true, frames[i].x, frames[i].y);
+    admit(frames[i].seq, frames[i].x, frames[i].y);
   }
 
   // Total ever recorded: the covers count (or the log base) accounts for
   // everything compacted away, including rows evicted from the window.
-  const uint64_t covered =
-      snapshot.covers_valid ? snapshot.covers
-                            : static_cast<uint64_t>(snapshot.rows.size());
-  total_recorded_.store(std::max<uint64_t>(covered, base + frames.size()),
+  total_recorded_.store(std::max<uint64_t>(snapshot.covers,
+                                           base + frames.size()),
                         std::memory_order_release);
 
   if (ins_.shard_recovered_records != nullptr && replayed > 0) {
@@ -214,22 +199,39 @@ Status ContextShard::Recover(std::atomic<uint64_t>* seq) {
     }
   }
 
-  // Start the new process on a clean generation whenever the recovered
-  // state differs from (snapshot, empty log): fold it into a fresh
-  // snapshot + reset log. Fail-soft — a failed fold leaves the previous
-  // generation readable and the shard serving.
-  if (stats.records_recovered > 0 || stats.bytes_discarded > 0 ||
-      (snapshot.covers_valid && snapshot.covers != base)) {
-    Status folded = CompactLocked();
-    if (!folded.ok()) {
-      if (ins_.compaction_failures != nullptr) {
-        ins_.compaction_failures->Increment();
-      }
-      if (wal_->poisoned()) SetStateLocked(State::kReadOnly);
-    }
-  }
+  // The files differ from (current-format snapshot, empty log) whenever the
+  // log replayed or lost anything, a row was dropped, the snapshot is in
+  // the text layout, or the pair is from a torn compaction. The fold
+  // itself waits for FoldRecovery, after the proxy's eviction.
+  fold_pending_ =
+      stats.records_recovered > 0 || stats.bytes_discarded > 0 ||
+      dropped > 0 ||
+      (has_snapshot && (snapshot.version != io::kShardSnapshotVersion ||
+                        snapshot.covers != base));
+  rows_at_recovery_ = window_.size();
   SyncFsyncCountersLocked();
   return Status::Ok();
+}
+
+void ContextShard::FoldRecovery() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool evicted = window_.size() < rows_at_recovery_;
+  const bool fold = fold_pending_ || evicted;
+  fold_pending_ = false;
+  rows_at_recovery_ = 0;
+  if (!fold || wal_ == nullptr ||
+      state_.load(std::memory_order_relaxed) == State::kQuarantined) {
+    return;
+  }
+  // Fail-soft: a failed fold leaves the previous generation readable and
+  // the shard serving.
+  Status folded = CompactLocked();
+  if (!folded.ok()) {
+    if (ins_.compaction_failures != nullptr) {
+      ins_.compaction_failures->Increment();
+    }
+    if (wal_->poisoned()) SetStateLocked(State::kReadOnly);
+  }
 }
 
 Status ContextShard::Record(const Instance& x, Label y,
@@ -315,17 +317,10 @@ Status ContextShard::RecordLocked(const Instance& x, Label y,
 Status ContextShard::CompactLocked() {
   if (wal_ == nullptr) return Status::Ok();
   const uint64_t covers = total_recorded_.load(std::memory_order_relaxed);
-  Context rows(schema_);
-  for (const Row& row : window_) rows.Add(row.x, row.y);
-  Status wrote = io::AtomicWriteFile(
-      env_, options_.snapshot_path, [&](std::ostream* out) {
-        *out << io::kShardSnapshotMagic << "\n"
-             << "covers " << covers << "\n"
-             << "seqs";
-        for (const Row& row : window_) *out << ' ' << row.seq;
-        *out << "\n";
-        return io::SaveDataset(rows, out);
-      });
+  io::ShardSnapshotEncoder encoder(*schema_, covers, window_.size());
+  for (const Row& row : window_) encoder.Add(row.seq, row.x, row.y);
+  Status wrote = io::AtomicWriteFile(env_, options_.snapshot_path,
+                                     std::move(encoder).Finish());
   // On failure the rename never happened: the previous snapshot and the
   // current log generation are both still intact and readable.
   CCE_RETURN_IF_ERROR(wrote);

@@ -118,13 +118,21 @@ class ContextShard {
   /// adoption).
   static size_t ShardFor(const Instance& x, size_t num_shards);
 
-  /// Replays this shard's snapshot + WAL, assigning fresh global sequence
-  /// numbers from `seq` in replay order (snapshot rows, then log frames).
-  /// Fail-soft: I/O damage quarantines the shard and returns OK; only a
-  /// schema clash is a hard error. Rows are schema-validated; invalid ones
-  /// are dropped and counted. When anything was replayed or discarded the
-  /// shard folds the recovered state into a fresh generation (compaction).
+  /// Replays this shard's snapshot + WAL (snapshot rows, then log frames),
+  /// each row under its persisted global sequence number; `seq` is moved
+  /// past the largest one. Fail-soft: I/O damage quarantines the shard and
+  /// returns OK; only a schema clash is a hard error. Rows are
+  /// schema-validated; invalid ones are dropped and counted. Recovery
+  /// writes nothing: when the files differ from what the shard now holds
+  /// it only marks a fold pending, for FoldRecovery.
   Status Recover(std::atomic<uint64_t>* seq);
+
+  /// Ends recovery, after the proxy's capacity eviction: folds the window
+  /// into a fresh generation (compaction) when Recover marked a fold
+  /// pending or eviction dropped rows the files still hold. A shard whose
+  /// files already match its trimmed window writes and fsyncs nothing, so
+  /// each restart reads at most the window. Fail-soft like Recover.
+  void FoldRecovery();
 
   /// Appends (x, y): WAL first (durable per the sync policy), then the
   /// window, tagged with a sequence number drawn from `seq` under the
@@ -206,7 +214,7 @@ class ContextShard {
   /// Exports wal_->fsyncs() deltas into the per-shard + aggregate cells.
   void SyncFsyncCountersLocked();
   void SetStateLocked(State state);
-  void PushRowLocked(uint64_t seq, const Instance& x, Label y);
+  void PushRowLocked(uint64_t seq, Instance x, Label y);
   /// Empties the window (quarantine, repair), removing its rows from the
   /// attached index.
   void ClearWindowLocked();
@@ -226,6 +234,9 @@ class ContextShard {
   std::string last_quarantine_cause_;
   uint64_t last_salvage_truncated_bytes_ = 0;
   uint64_t wal_fsyncs_exported_ = 0;
+  /// Set by Recover, consumed by FoldRecovery.
+  bool fold_pending_ = false;
+  size_t rows_at_recovery_ = 0;
 
   std::atomic<State> state_{State::kActive};
   std::atomic<uint64_t> front_seq_{UINT64_MAX};

@@ -79,12 +79,12 @@ class LiveIndex {
     /// per-item deadlines: the one Explain read of leader and replica, and
     /// a scalar Explain is a batch of one. kFailedPrecondition when the
     /// window is empty. `path.alpha` is the bound; with
-    /// `path.parallel_conformity` the counts run on `path.pool` (several
-    /// items across it, or one item's candidate features across it), and
-    /// pool fan-out is added to `path.conformity_shards`. `degraded_view`
-    /// flags every key degraded (the window is incomplete or may be
-    /// stale); `deadline_degraded`, when set, receives the number of keys
-    /// the search itself degraded at their deadline.
+    /// `path.parallel_conformity` several items run across `path.pool`
+    /// (a lone item counts serially), and the fan-out is added to
+    /// `path.conformity_shards`. `degraded_view` flags every key
+    /// degraded (the window is incomplete or may be stale);
+    /// `deadline_degraded`, when set, receives the number of keys the
+    /// search itself degraded at their deadline.
     Result<std::vector<KeyResult>> SearchBatch(
         const std::vector<BatchQuery>& items, const ReadPath& path,
         bool degraded_view, size_t* deadline_degraded = nullptr) const;

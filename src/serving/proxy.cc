@@ -200,8 +200,8 @@ void ExplainableProxy::InitInstruments() {
       "per replica rebuild or resync; none per Explain).");
   ins_.conformity_shards = reg.GetCounter(
       "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by live-index counts "
-      "(shard fanout).");
+      "Work items dispatched to the conformity pool by live-index "
+      "searches (the items of a multi-item batch).");
   ins_.context_window_size = reg.GetGauge(
       "cce_context_window_size",
       "Pairs currently in the rolling context (all shards).");
@@ -373,6 +373,10 @@ Status ExplainableProxy::InitShards() {
   for (const auto& shard : shards_) rows += shard->window_size();
   total_rows_.store(rows, std::memory_order_release);
   EvictToCapacity();
+  // Fold after eviction: each new generation holds only the shard's part
+  // of the capacity-trimmed window, so the next restart reads at most
+  // context_capacity rows, and a directory already trimmed writes nothing.
+  for (auto& shard : shards_) shard->FoldRecovery();
   if (durable) AdoptOrphanShardFiles();
   // The read model is built once, from the recovered and capacity-trimmed
   // window; from here on every shard keeps it current in place.

@@ -120,11 +120,11 @@ class ExplainableProxy {
     /// different shard count is adopted: rows from orphan shard files are
     /// re-routed by hash and re-logged, then the orphans are deleted.
     size_t shards = 1;
-    /// Runs the live index's violator counts on a proxy-owned conformity
-    /// pool (docs/algorithms.md): candidate features of a scalar Explain,
-    /// and the items of an ExplainBatch, fan out across it. Explain always
-    /// searches the bitset live index; this only decides whether the
-    /// counts are spread over threads. Keys are bit-identical either way.
+    /// Fans the items of a multi-item ExplainBatch over a proxy-owned
+    /// conformity pool (docs/algorithms.md); a lone Explain counts
+    /// serially. Explain always searches the bitset live index; this only
+    /// decides whether the items run on several threads. Keys are
+    /// bit-identical either way.
     /// Adds cce_conformity_shards_total traffic and thread-pool gauges
     /// labelled pool="conformity".
     bool parallel_conformity = false;
@@ -331,7 +331,8 @@ class ExplainableProxy {
                              int* attempts);
 
   /// Builds the shards, sweeps orphaned temp files, recovers every shard
-  /// (fail-soft), and adopts rows from shard files left by a different
+  /// (fail-soft), evicts to capacity, folds each shard's trimmed window
+  /// into its files, and adopts rows from shard files left by a different
   /// shard-count configuration. Only a schema clash returns an error.
   Status InitShards();
 

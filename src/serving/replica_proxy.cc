@@ -102,8 +102,8 @@ void ReplicaProxy::InitInstruments() {
       "per replica rebuild or resync; none per Explain).");
   conformity_shards_ = reg.GetCounter(
       "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by live-index counts "
-      "(shard fanout).");
+      "Work items dispatched to the conformity pool by live-index "
+      "searches (the items of a multi-item batch).");
   explain_latency_us_ = reg.GetHistogram(
       "cce_replica_explain_latency_us",
       "End-to-end replica Explain() latency in microseconds.");
@@ -176,19 +176,18 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
 
   io::LoadedShardSnapshot snapshot;
   if (entry.has_snapshot) {
-    auto parsed = io::ParseShardSnapshot(
+    auto decoded = io::DecodeShardSnapshot(
         snapshot_content, ShippedShardFileName(entry.index, "snapshot"));
-    if (!parsed.ok()) {
+    if (!decoded.ok()) {
       quarantine("snapshot");
       return;
     }
-    snapshot = std::move(parsed).value();
-    if (!snapshot.covers_valid || snapshot.covers != entry.wal_base) {
+    snapshot = std::move(decoded).value();
+    if (snapshot.covers != entry.wal_base) {
       if (fence_skips_ != nullptr) fence_skips_->Increment();
       return;
     }
-    if (!io::CheckShardSchemaCompatible(*schema_, snapshot.rows.schema())
-             .ok()) {
+    if (!io::CheckShardSchemaCompatible(*schema_, snapshot.schema).ok()) {
       quarantine("snapshot");
       return;
     }
@@ -196,12 +195,8 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
 
   auto rebuild = [&]() {
     tail->rows.clear();
-    if (entry.has_snapshot) {
-      for (size_t r = 0; r < snapshot.rows.size(); ++r) {
-        tail->rows.push_back(ContextShard::Row{
-            snapshot.seqs[r], snapshot.rows.instance(r),
-            snapshot.rows.label(r)});
-      }
+    for (const io::ShardSnapshotRow& row : snapshot.rows) {
+      tail->rows.push_back(ContextShard::Row{row.seq, row.x, row.y});
     }
     for (const io::WalFrame& frame : view.frames) {
       tail->rows.push_back(ContextShard::Row{frame.seq, frame.x, frame.y});

@@ -1,7 +1,7 @@
 #include "serving/replication.h"
 
 #include <algorithm>
-#include <ostream>
+#include <optional>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -83,13 +83,14 @@ Status ShardLogShipper::ShipShard(size_t shard, uint64_t published_seq,
   std::string snapshot_content;
   std::string wal_content;
   bool has_snapshot = false;
-  io::LoadedShardSnapshot snapshot;
+  std::optional<io::ShardSnapshotView> snapshot;
   io::WalSegmentView view;
   // One retry absorbs the common race (a single compaction landing
   // between the snapshot read and the WAL read); a shard that fences
   // twice is skipped this cycle and retried on the next.
   Status fenced = Status::Ok();
   for (int attempt = 0; attempt < 2; ++attempt) {
+    snapshot.reset();  // the view borrows snapshot_content, re-read below
     CCE_RETURN_IF_ERROR(ReadShardState(shard, &snapshot_content,
                                        &has_snapshot, &wal_content));
     if (wal_content.empty()) {
@@ -109,19 +110,20 @@ Status ShardLogShipper::ShipShard(size_t shard, uint64_t published_seq,
       }
     }
     if (has_snapshot) {
-      auto parsed = io::ParseShardSnapshot(
+      // The fence needs only the header; the follower decodes and checks
+      // the whole file when it applies it.
+      auto opened = io::ShardSnapshotView::Open(
           snapshot_content, ShardFileName(shard, "snapshot"));
-      if (!parsed.ok()) {
-        fenced = parsed.status();
+      if (!opened.ok()) {
+        fenced = opened.status();
         continue;
       }
-      snapshot = std::move(parsed).value();
-      if (!snapshot.covers_valid ||
-          snapshot.covers != view.base_recorded) {
+      snapshot = *opened;
+      if (snapshot->covers() != view.base_recorded) {
         fenced = Status::Unavailable(
             "shard " + std::to_string(shard) +
             " generation fence: snapshot covers " +
-            std::to_string(snapshot.covers) + " != wal base " +
+            std::to_string(snapshot->covers()) + " != wal base " +
             std::to_string(view.base_recorded));
         continue;
       }
@@ -143,11 +145,13 @@ Status ShardLogShipper::ShipShard(size_t shard, uint64_t published_seq,
   uint32_t digest = 0;
   uint64_t rows = 0;
   if (has_snapshot) {
-    for (size_t r = 0; r < snapshot.rows.size(); ++r) {
-      const uint64_t seq = snapshot.seqs[r];
-      if (seq >= published_seq) continue;
-      const std::string payload = io::EncodeWalRecordPayload(
-          snapshot.rows.instance(r), snapshot.rows.label(r), seq);
+    Instance x;
+    for (size_t r = 0; r < snapshot->rows(); ++r) {
+      const uint64_t seq = snapshot->seq(r);
+      if (seq >= published_seq) break;  // rows are seq-ascending
+      snapshot->ReadValues(r, &x);
+      const std::string payload =
+          io::EncodeWalRecordPayload(x, snapshot->label(r), seq);
       digest = crc32c::Extend(digest, payload.data(), payload.size());
       ++rows;
     }
@@ -168,21 +172,12 @@ Status ShardLogShipper::ShipShard(size_t shard, uint64_t published_seq,
   const std::string snapshot_dest =
       options_.ship_dir + "/" + ShippedShardFileName(shard, "snapshot");
   if (has_snapshot) {
-    CCE_RETURN_IF_ERROR(io::AtomicWriteFile(
-        env_, snapshot_dest, [&snapshot_content](std::ostream* out) {
-          out->write(snapshot_content.data(),
-                     static_cast<std::streamsize>(snapshot_content.size()));
-          return Status::Ok();
-        }));
+    CCE_RETURN_IF_ERROR(
+        io::AtomicWriteFile(env_, snapshot_dest, snapshot_content));
   } else {
     (void)env_->RemoveFile(snapshot_dest);
   }
-  CCE_RETURN_IF_ERROR(io::AtomicWriteFile(
-      env_, wal_dest, [&shipped_wal](std::ostream* out) {
-        out->write(shipped_wal.data(),
-                   static_cast<std::streamsize>(shipped_wal.size()));
-        return Status::Ok();
-      }));
+  CCE_RETURN_IF_ERROR(io::AtomicWriteFile(env_, wal_dest, shipped_wal));
   if (shipped_bytes_ != nullptr) {
     shipped_bytes_->Add(shipped_wal.size() +
                         (has_snapshot ? snapshot_content.size() : 0));

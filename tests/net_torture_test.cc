@@ -193,7 +193,16 @@ TEST(NetTortureTest, AdversarialClientsNeverCrashLeakOrBlock) {
   const size_t iters = EnvCount("CCE_NET_ITERS", 40);
   uint64_t rng = EnvCount("CCE_NET_SEED", 0x7051CE);
   std::vector<NetClient> loris;  // left open mid-frame; the sweep reaps them
-  for (size_t iteration = 0; iteration < iters; ++iteration) {
+  // After its `iters` rounds the attack keeps going until the background
+  // client has completed an exchange (bounded), so the assertion below
+  // measures a blocked tick rather than how the threads were scheduled.
+  const auto attack_bound =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (size_t iteration = 0;
+       iteration < iters ||
+       (background_ok.load() == 0 &&
+        std::chrono::steady_clock::now() < attack_bound);
+       ++iteration) {
     auto client_or = stack.Connect();
     ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
     NetClient client = std::move(client_or).value();

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -8,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "core/srk.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "io/serialize.h"
+#include "io/shard_snapshot.h"
+#include "io/wal_segment.h"
 #include "ml/gbdt.h"
 #include "serving/context_shard.h"
 #include "serving/proxy.h"
+#include "serving/shard_layout.h"
 #include "tests/test_util.h"
 
 namespace cce::serving {
@@ -28,6 +34,19 @@ std::string ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The text snapshot layout that preceded CCESNAP 2: magic line, covers
+/// line, seqs line, then the SaveDataset text of the rows.
+std::string TextSnapshotBytes(const Dataset& rows,
+                              const std::vector<uint64_t>& seqs,
+                              uint64_t covers) {
+  std::stringstream out;
+  out << "CCESNAP 1\ncovers " << covers << "\nseqs";
+  for (const uint64_t seq : seqs) out << ' ' << seq;
+  out << "\n";
+  CCE_CHECK_OK(io::SaveDataset(rows, &out));
+  return out.str();
 }
 
 class ProxyDurabilityTest : public ::testing::Test {
@@ -518,6 +537,171 @@ TEST_F(ProxyDurabilityTest, SyncNeverStillRecoversWrittenRecords) {
                                           DurableOptions(dir, 0));
   ASSERT_TRUE(revived.ok());
   EXPECT_EQ((*revived)->recorded(), 12u);
+}
+
+TEST_F(ProxyDurabilityTest, RestartReadsOnlyTheCapacityTrimmedWindow) {
+  const std::string dir = MakeDir("trimmed_restart");
+  const size_t kShards = 4;
+  const size_t kCapacity = 50;
+  const size_t kRecords = 4 * kCapacity;
+  ExplainableProxy::Options options = DurableOptions(dir, /*sync_every=*/0);
+  options.shards = kShards;
+  options.context_capacity = kCapacity;
+  const std::vector<size_t> probes = {0, 7, 42, 101, 199};
+
+  struct State {
+    uint64_t recorded = 0;
+    Context window{nullptr};
+    std::vector<KeyResult> keys;
+  };
+  auto capture = [&](ExplainableProxy& proxy) {
+    State state;
+    state.recorded = proxy.recorded();
+    state.window = proxy.ContextSnapshot();
+    for (const size_t row : probes) {
+      auto key = proxy.Explain(data_->instance(row), data_->label(row));
+      CCE_CHECK_OK(key.status());
+      EXPECT_FALSE(key->degraded);
+      // The sorted-merge oracle over the exact window.
+      auto oracle = Srk::ExplainInstance(state.window, data_->instance(row),
+                                         data_->label(row), {});
+      CCE_CHECK_OK(oracle.status());
+      EXPECT_EQ(key->key, oracle->key) << "row " << row;
+      EXPECT_EQ(key->achieved_alpha, oracle->achieved_alpha) << "row " << row;
+      state.keys.push_back(*key);
+    }
+    return state;
+  };
+  auto expect_same = [&](const State& got, const State& want,
+                         const std::string& when) {
+    EXPECT_EQ(got.recorded, want.recorded) << when;
+    ASSERT_EQ(got.window.size(), want.window.size()) << when;
+    for (size_t row = 0; row < want.window.size(); ++row) {
+      EXPECT_EQ(got.window.instance(row), want.window.instance(row)) << when;
+      EXPECT_EQ(got.window.label(row), want.window.label(row)) << when;
+    }
+    for (size_t i = 0; i < want.keys.size(); ++i) {
+      EXPECT_EQ(got.keys[i].key, want.keys[i].key) << when;
+      EXPECT_EQ(got.keys[i].achieved_alpha, want.keys[i].achieved_alpha)
+          << when;
+    }
+  };
+  auto snapshot_rows = [&]() {
+    size_t rows = 0;
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      auto loaded = io::LoadShardSnapshot(
+          io::Env::Default(), dir + "/" + ShardFileName(shard, "snapshot"));
+      CCE_CHECK_OK(loaded.status());
+      EXPECT_EQ(loaded->version, io::kShardSnapshotVersion);
+      rows += loaded->rows.size();
+    }
+    return rows;
+  };
+
+  State before;
+  {
+    auto proxy =
+        ExplainableProxy::Create(data_->schema_ptr(), nullptr, options);
+    ASSERT_TRUE(proxy.ok()) << proxy.status().ToString();
+    for (size_t row = 0; row < kRecords; ++row) {
+      CCE_CHECK_OK((*proxy)->Record(data_->instance(row),
+                                    data_->label(row)));
+    }
+    before = capture(**proxy);
+  }
+  ASSERT_EQ(before.recorded, kRecords);
+  ASSERT_EQ(before.window.size(), kCapacity);
+
+  {
+    auto first =
+        ExplainableProxy::Create(data_->schema_ptr(), nullptr, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_GE((*first)->Health().wal_compactions, 1u)
+        << "the first restart folds the replayed logs";
+    expect_same(capture(**first), before, "after the first restart");
+  }
+  EXPECT_EQ(snapshot_rows(), kCapacity)
+      << "the fold runs after eviction: snapshots hold only the window";
+
+  auto second =
+      ExplainableProxy::Create(data_->schema_ptr(), nullptr, options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const HealthSnapshot health = (*second)->Health();
+  EXPECT_EQ(health.wal_compactions, 0u)
+      << "a trimmed directory restarts without rewriting anything";
+  EXPECT_EQ(health.wal_fsyncs, 0u);
+  EXPECT_EQ(health.wal_records_recovered, kCapacity);
+  expect_same(capture(**second), before, "after the second restart");
+  EXPECT_EQ(snapshot_rows(), kCapacity);
+}
+
+TEST_F(ProxyDurabilityTest, TextSnapshotMigratesToBinary) {
+  const std::string dir = MakeDir("text_migration");
+  const std::string snapshot_path = dir + "/context.snapshot";
+  const std::string wal_path = dir + "/context.wal";
+  Dataset rows(data_->schema_ptr());
+  std::vector<uint64_t> seqs;
+  for (size_t row = 0; row < 12; ++row) {
+    rows.Add(data_->instance(row), data_->label(row));
+    seqs.push_back(3 * row + 5);  // sparse, as a multi-shard run leaves them
+  }
+  const uint64_t kCovers = 40;
+  WriteFileBytes(snapshot_path, TextSnapshotBytes(rows, seqs, kCovers));
+  // A log of the same generation holding no frames: only the snapshot's
+  // layout calls for a fold.
+  WriteFileBytes(wal_path, io::EncodeWalHeader(kCovers));
+
+  ContextShard::Options shard_options;
+  shard_options.wal_path = wal_path;
+  shard_options.snapshot_path = snapshot_path;
+  std::atomic<uint64_t> seq{0};
+  ContextShard shard(data_->schema_ptr(), shard_options, {});
+  CCE_CHECK_OK(shard.Recover(&seq));
+  ASSERT_EQ(shard.state(), ContextShard::State::kActive);
+  EXPECT_EQ(ReadFileBytes(snapshot_path).rfind("CCESNAP 1", 0), 0u)
+      << "recovery itself writes nothing";
+  shard.FoldRecovery();
+
+  EXPECT_EQ(shard.total_recorded(), kCovers);
+  EXPECT_EQ(seq.load(), seqs.back() + 1);
+  std::vector<ContextShard::Row> recovered;
+  shard.SnapshotInto(&recovered);
+  ASSERT_EQ(recovered.size(), rows.size());
+  for (size_t row = 0; row < rows.size(); ++row) {
+    EXPECT_EQ(recovered[row].seq, seqs[row]);
+    EXPECT_EQ(recovered[row].x, rows.instance(row));
+    EXPECT_EQ(recovered[row].y, rows.label(row));
+  }
+
+  const std::string migrated = ReadFileBytes(snapshot_path);
+  ASSERT_GE(migrated.size(), sizeof(io::kShardSnapshotMagic));
+  EXPECT_EQ(migrated.compare(0, sizeof(io::kShardSnapshotMagic),
+                             io::kShardSnapshotMagic,
+                             sizeof(io::kShardSnapshotMagic)),
+            0)
+      << "the fold rewrites the text snapshot as CCESNAP 2";
+  auto decoded = io::DecodeShardSnapshot(migrated, snapshot_path);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->version, io::kShardSnapshotVersion);
+  EXPECT_EQ(decoded->covers, kCovers);
+  ASSERT_EQ(decoded->rows.size(), rows.size());
+  for (size_t row = 0; row < rows.size(); ++row) {
+    EXPECT_EQ(decoded->rows[row].seq, seqs[row]);
+    EXPECT_EQ(decoded->rows[row].x, rows.instance(row));
+    EXPECT_EQ(decoded->rows[row].y, rows.label(row));
+  }
+
+  // The migrated directory restarts through the proxy with the same rows.
+  ExplainableProxy::Options options = DurableOptions(dir);
+  auto proxy = ExplainableProxy::Create(data_->schema_ptr(), nullptr, options);
+  ASSERT_TRUE(proxy.ok()) << proxy.status().ToString();
+  EXPECT_EQ((*proxy)->recorded(), kCovers);
+  EXPECT_EQ((*proxy)->Health().wal_compactions, 0u);
+  Context window = (*proxy)->ContextSnapshot();
+  ASSERT_EQ(window.size(), rows.size());
+  for (size_t row = 0; row < rows.size(); ++row) {
+    EXPECT_EQ(window.instance(row), rows.instance(row));
+  }
 }
 
 }  // namespace
